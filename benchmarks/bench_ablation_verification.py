@@ -1,6 +1,7 @@
 """Ablation: execution-verified vs unverified equivalence labels.
 
-DESIGN.md's equivalence engine verifies every pair on live SQLite
+The equivalence checker (:mod:`repro.equivalence`) verifies every pair
+on live SQLite
 instances.  This ablation builds the SDSS pair dataset with verification
 off and measures how many unverified labels the checker would dispute —
 the label noise the verification step removes.

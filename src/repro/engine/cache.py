@@ -18,9 +18,10 @@ Three namespaces under one cache root:
   the workload in milliseconds instead of regenerating it per process.
 
 Change any input and the key changes, so stale entries are never served
-— they are simply never looked up again.  Writes go through a
-per-process temp file and an atomic rename, so a cache directory is safe
-to share between concurrent processes.
+— they are simply never looked up again.  Every write goes through
+:func:`repro.lifecycle.atomic.write_atomic` (a uniquely named temp file,
+then an atomic rename), so a cache directory is safe to share between
+concurrent processes and threads.
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
+from repro.lifecycle.atomic import write_atomic
 from repro.llm.backends.base import SIMULATED_SPEC, BackendSpec
 from repro.llm.profiles import ModelProfile
 from repro.prompts.templates import PromptTemplate, prompt_for
@@ -307,16 +308,12 @@ class ResultCache:
         self, key: str, answers: list[ModelAnswer], meta: Optional[dict] = None
     ) -> Path:
         """Store a cell's answers atomically; returns the entry path."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "version": CACHE_VERSION,
             "meta": meta or {},
             "answers": [answer_to_dict(answer) for answer in answers],
         }
-        temporary = path.with_suffix(f".tmp.{os.getpid()}")
-        temporary.write_text(json.dumps(payload))
-        temporary.replace(path)
+        path = write_atomic(self._path(key), json.dumps(payload))
         self.stats.writes += 1
         return path
 
@@ -359,13 +356,10 @@ class ResultCache:
 
     def put_dataset(self, key: str, dataset: TaskDataset) -> Path:
         """Store a built dataset atomically; returns the entry path."""
-        path = self._dataset_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        temporary = path.with_suffix(f".tmp.{os.getpid()}")
-        with temporary.open("wb") as handle:
-            pickle.dump(dataset, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        temporary.replace(path)
-        return path
+        return write_atomic(
+            self._dataset_path(key),
+            pickle.dumps(dataset, protocol=pickle.HIGHEST_PROTOCOL),
+        )
 
     # -- workloads ---------------------------------------------------------
 
@@ -386,13 +380,10 @@ class ResultCache:
 
     def put_workload(self, key: str, workload) -> Path:
         """Store a loaded workload atomically; returns the entry path."""
-        path = self._workload_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        temporary = path.with_suffix(f".tmp.{os.getpid()}")
-        with temporary.open("wb") as handle:
-            pickle.dump(workload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        temporary.replace(path)
-        return path
+        return write_atomic(
+            self._workload_path(key),
+            pickle.dumps(workload, protocol=pickle.HIGHEST_PROTOCOL),
+        )
 
     # -- segmented entries -------------------------------------------------
     #
@@ -412,13 +403,6 @@ class ResultCache:
     @staticmethod
     def _segment_name(index: int, suffix: str) -> str:
         return f"seg-{index:05d}{suffix}"
-
-    def _write_atomic_bytes(self, path: Path, data: bytes) -> Path:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        temporary = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        temporary.write_bytes(data)
-        temporary.replace(path)
-        return path
 
     def _read_manifest(self, directory: Path, kind: str) -> Optional[dict]:
         try:
@@ -450,14 +434,12 @@ class ResultCache:
             "total": sum(counts),
             "meta": meta or {},
         }
-        return self._write_atomic_bytes(
-            directory / "manifest.json", json.dumps(manifest).encode("utf-8")
-        )
+        return write_atomic(directory / "manifest.json", json.dumps(manifest))
 
     def put_dataset_segment(self, key: str, index: int, instances: list) -> Path:
         """Store one dataset segment (a list of TaskInstance) atomically."""
         path = self._dataset_segment_dir(key) / self._segment_name(index, ".pkl")
-        return self._write_atomic_bytes(
+        return write_atomic(
             path, pickle.dumps(instances, protocol=pickle.HIGHEST_PROTOCOL)
         )
 
@@ -513,7 +495,7 @@ class ResultCache:
         """Store one cell segment (a list of answers) atomically."""
         path = self._cell_segment_dir(key) / self._segment_name(index, ".json")
         payload = json.dumps([answer_to_dict(answer) for answer in answers])
-        return self._write_atomic_bytes(path, payload.encode("utf-8"))
+        return write_atomic(path, payload)
 
     def commit_cell_segments(
         self,

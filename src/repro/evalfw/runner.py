@@ -103,20 +103,6 @@ class ExperimentRunner:
         )
         self.engine = ExperimentEngine(config, models=models)
 
-    # The engine's config is the single source of truth; these mirrors
-    # exist only for callers that knew the pre-engine runner attributes.
-    @property
-    def seed(self) -> int:
-        return self.engine.config.seed
-
-    @property
-    def models(self) -> tuple[ModelProfile, ...]:
-        return self.engine.models
-
-    @property
-    def max_instances(self) -> Optional[int]:
-        return self.engine.config.max_instances
-
     # -- caching ---------------------------------------------------------------
 
     def workload(self, name: str) -> Workload:

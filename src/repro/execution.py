@@ -798,7 +798,9 @@ def workload_grid_text(runner, task: str, workload_name: str) -> str:
     from repro.reporting.run_record import cell_record_from_result
 
     grid = runner.run_task(task, workloads=(workload_name,))
-    model_order = {profile.name: i for i, profile in enumerate(runner.models)}
+    model_order = {
+        profile.name: i for i, profile in enumerate(runner.engine.models)
+    }
     rows = []
     for (model, _), cell in sorted(
         grid.items(), key=lambda item: model_order.get(item[0][0], 99)

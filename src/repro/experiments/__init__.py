@@ -4,7 +4,6 @@ from repro.experiments.artifacts import ExperimentResult
 from repro.experiments.registry import (
     ARTIFACT_IDS,
     EXPERIMENTS,
-    run_all,
     run_experiment,
 )
 
@@ -13,5 +12,4 @@ __all__ = [
     "EXPERIMENTS",
     "ARTIFACT_IDS",
     "run_experiment",
-    "run_all",
 ]

@@ -1,7 +1,8 @@
 """Reference values transcribed from the paper's tables.
 
-Used by the benchmark harness and EXPERIMENTS.md generator to print
-paper-vs-measured comparisons.  Keys: (model display name, workload) ->
+Used by the artifacts and the report bundles
+(:mod:`repro.reporting.paper_refs`) to print paper-vs-measured
+comparisons.  Keys: (model display name, workload) ->
 (precision, recall, f1); Table 5 carries (MAE, hit rate).
 """
 

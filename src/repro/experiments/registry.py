@@ -2,15 +2,14 @@
 
 Every experiment function takes an :class:`ExperimentRunner`, so the
 whole paper grid inherits the runner's engine configuration — pass a
-runner built with ``workers=N`` / ``cache_dir=...`` (or use the same
-flags on :func:`run_all`) and all tables/figures evaluate through the
-parallel sharded engine and its result cache.
+runner built with ``workers=N`` / ``cache_dir=...`` and all
+tables/figures evaluate through the parallel sharded engine and its
+result cache.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.evalfw.runner import ExperimentRunner
 from repro.experiments import artifacts
@@ -57,24 +56,3 @@ def run_experiment(
             f"unknown artifact {artifact!r}; expected one of {sorted(EXPERIMENTS)}"
         ) from None
     return function(runner or ExperimentRunner())
-
-
-def run_all(
-    runner: ExperimentRunner | None = None,
-    workers: int = 1,
-    cache_dir: Optional[Path] = None,
-) -> dict[str, ExperimentResult]:
-    """Run every artifact with a shared runner (datasets cached once).
-
-    When no runner is supplied, ``workers``/``cache_dir`` configure the
-    engine the fresh runner evaluates through.
-    """
-    shared = runner or ExperimentRunner(workers=workers, cache_dir=cache_dir)
-    try:
-        return {
-            artifact: function(shared)
-            for artifact, (_, function) in EXPERIMENTS.items()
-        }
-    finally:
-        if runner is None:
-            shared.close()

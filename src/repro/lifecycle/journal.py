@@ -1,7 +1,7 @@
 """Write-ahead run journal: durable cell states under ``results/runs``.
 
-Layout (all writes atomic temp+rename, same discipline as the
-segmented cache)::
+Layout (every write goes through
+:func:`repro.lifecycle.atomic.write_atomic`, as the cache's do)::
 
     <runs_dir>/<run_id>/journal/
         manifest.json          # run config, written once at start
@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
+
+from repro.lifecycle.atomic import write_atomic
 
 #: Bump when the journal format changes incompatibly.
 JOURNAL_VERSION = 1
@@ -74,13 +75,6 @@ def _run_id(created_at: str, content: str) -> str:
     stamp = created_at.replace("-", "").replace(":", "").replace("Z", "")
     digest = hashlib.sha256(content.encode("utf-8")).hexdigest()[:8]
     return f"{stamp}-{digest}"
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write via temp file + rename so readers never see partial JSON."""
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
 
 
 @dataclass(frozen=True)
@@ -213,7 +207,7 @@ class RunJournal:
             "config": config,
         }
         journal = cls(root=root, run_id=run_id, manifest=manifest)
-        _write_atomic(
+        write_atomic(
             root / "manifest.json",
             json.dumps(manifest, indent=2, sort_keys=True) + "\n",
         )
@@ -294,7 +288,7 @@ class RunJournal:
         }
         if failure is not None:
             payload["failure"] = failure.as_dict()
-        _write_atomic(
+        write_atomic(
             self._cell_path(cell_id),
             json.dumps(payload, indent=2, sort_keys=True) + "\n",
         )

@@ -17,7 +17,8 @@ paper measured for that model (Tables 3-7):
   rate for miss_token_loc (Table 5).
 
 The numbers below were tuned so the full benchmark harness lands near
-the paper's reported metrics; see EXPERIMENTS.md for measured values.
+the paper's reported metrics; report bundles (``repro report``) print
+the measured values next to the paper's.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 Replaces the paper's five hosted models.  For each task the client first
 derives the *true* answer — using the semantic analyzer, the describer,
 or the instance's construction-time ground truth — then passes it through
-the model's calibrated noise profile (see DESIGN.md section 4).  All
+the model's calibrated noise profile (:mod:`repro.llm.profiles`).  All
 noise is seeded by ``(model, task, instance id)``, so experiments are
 reproducible bit-for-bit and independent of evaluation order.
 """

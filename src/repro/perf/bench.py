@@ -80,7 +80,7 @@ def _reset_process_caches() -> None:
         from repro.sql import analysis_cache
     except ImportError:
         return
-    analysis_cache.reset_caches()
+    analysis_cache.clear_caches()
 
 
 def _verify_raw_work(texts: list[str]) -> Optional[bool]:

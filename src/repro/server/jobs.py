@@ -1,8 +1,8 @@
 """Durable job queue for the evaluation service.
 
 One JSON file per job under ``<jobs_dir>/`` (``results/jobs/`` by
-default), written atomically via temp+rename — the same discipline as
-:mod:`repro.lifecycle.journal` — so a server killed at any instant
+default), written through :func:`repro.lifecycle.atomic.write_atomic`
+like the run journal, so a server killed at any instant
 leaves every job either in its previous state or its next one, never
 torn.  On restart, :meth:`JobStore.recover` moves ``running`` jobs back
 to ``queued`` (keeping their run id, so execution resumes through the
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from repro.lifecycle.journal import _write_atomic
+from repro.lifecycle.atomic import write_atomic
 
 #: Bump when the job file format changes incompatibly.
 JOBS_VERSION = 1
@@ -166,7 +166,7 @@ class JobStore:
         return self.root / f"{job_id}.json"
 
     def _write(self, job: Job) -> Job:
-        _write_atomic(
+        write_atomic(
             self._path(job.job_id),
             json.dumps(job.as_dict(), indent=2, sort_keys=True) + "\n",
         )

@@ -397,7 +397,3 @@ def clear_caches() -> None:
         setattr(_retired, name, 0)
     _raw_tokenizes.reset()
     _raw_parses.reset()
-
-
-#: Backwards-compatible alias (pre-PR-6 name).
-reset_caches = clear_caches

@@ -1,6 +1,6 @@
 """SDSS workload generator: 285 queries matching Figure 1 / Table 2.
 
-Quota plan (derived from the paper's histograms — see DESIGN.md):
+Quota plan (derived from the paper's histograms):
 
 * query_type (Fig 1a): SELECT 251, SET 11, EXEC 8, DROP 6, DECLARE 4,
   CREATE 3, INSERT 2.

@@ -1,6 +1,6 @@
 """SQLShare workload generator: 250 queries matching Figure 2 / Table 2.
 
-Quota plan (see DESIGN.md):
+Quota plan:
 
 * query_type (Fig 2a): SELECT 238, WITH 10, CREATE 1, WAITFOR 1.
 * word_count (Fig 2b): heavily short — ~178 in 1-30, thin long tail.

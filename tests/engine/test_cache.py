@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import sys
+import threading
 
 from repro.engine.cache import (
     ResultCache,
@@ -213,3 +215,44 @@ class TestDatasetCache:
         assert cache.clear() == 2
         assert cache.entries() == []
         assert cache.dataset_entries() == []
+
+    def test_clear_sweeps_orphaned_temp_files(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        entry = cache.put("aa" + "0" * 62, _answers())
+        orphan = entry.with_name(entry.name + ".tmp.interrupted")
+        orphan.write_text("{half")
+        cache.clear()
+        assert not orphan.exists()
+
+
+class TestConcurrentWrites:
+    """``repro serve`` runs jobs on threads of one process, and two jobs
+    can share a cell key: concurrent writers of one entry never collide."""
+
+    def test_threads_writing_one_key(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "ab" + "2" * 62
+        answers = _answers(5)
+        errors: list[Exception] = []
+
+        def writer() -> None:
+            for _ in range(40):
+                try:
+                    cache.put(key, answers)
+                except Exception as error:  # noqa: BLE001 - asserted below
+                    errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=writer) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert cache.get(key) == answers
+        assert list(tmp_path.rglob("*.tmp.*")) == []

@@ -69,7 +69,7 @@ class TestCachedEqualsFresh:
 
 class TestFailureMemoization:
     def test_unparseable_text_is_none_and_counted_once(self):
-        analysis_cache.reset_caches()
+        analysis_cache.clear_caches()
         bad = "SELECT FROM WHERE totally broken ((("
         assert analysis_cache.try_parse_cached(bad) is None
         assert analysis_cache.try_parse_cached(bad) is None
@@ -97,14 +97,14 @@ class TestFailureMemoization:
 class TestCounters:
     def test_reset_zeroes_raw_work(self):
         analysis_cache.try_parse_cached("SELECT 1")
-        analysis_cache.reset_caches()
+        analysis_cache.clear_caches()
         counters = analysis_cache.counters()
         assert counters.raw_parses == 0
         assert counters.raw_tokenizes == 0
         assert counters.parse_misses == 0
 
     def test_hits_accumulate(self):
-        analysis_cache.reset_caches()
+        analysis_cache.clear_caches()
         analysis_cache.try_parse_cached("SELECT 2")
         analysis_cache.try_parse_cached("SELECT 2")
         counters = analysis_cache.counters()
@@ -119,7 +119,7 @@ class TestOneParsePerDistinctText:
         text, no matter how many consumers touch it."""
         from repro.evalfw.runner import ExperimentRunner
 
-        analysis_cache.reset_caches()
+        analysis_cache.clear_caches()
         runner = ExperimentRunner(seed=0, max_instances=15)
         grid = runner.run_task("query_exp")
         distinct = {

@@ -70,9 +70,6 @@ class TestClearCaches:
         assert counters.raw_tokenizes == len(texts)
         assert counters.parse_hits == 0
 
-    def test_reset_caches_alias_is_clear_caches(self):
-        assert ac.reset_caches is ac.clear_caches
-
 
 # ---------------------------------------------------------------------------
 # Satellite 2: shared-AST mutation guard

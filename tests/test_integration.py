@@ -41,22 +41,3 @@ class TestFullPipeline:
         f1 = {model: grid[(model, "sdss")].binary.f1 for model, _ in grid}
         assert f1["gpt4"] >= f1["gemini"]
 
-
-class TestExperimentsMarkdown:
-    def test_record_builder_produces_full_report(self):
-        from repro.experiments.record import build_experiments_markdown
-
-        text = build_experiments_markdown(seed=0)
-        for heading in (
-            "Table 3 (top)",
-            "Table 4 (top)",
-            "Table 5",
-            "Table 6",
-            "Table 7 (top)",
-            "Figure 6",
-            "Figure 12",
-            "case study",
-        ):
-            assert heading in text, heading
-        # Paper reference numbers appear next to measured ones.
-        assert "0.98/0.95/0.97" in text  # GPT4 sdss syntax_error (paper)
