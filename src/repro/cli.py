@@ -32,9 +32,10 @@ Subcommands:
   engine cache — zero model invocations when the cache is warm;
 * ``report --compare RUN_A RUN_B`` — align two stored runs and flag
   metric regressions (exit code 3 when any are found);
-* ``bench`` — measure the lexer/parser/dataset-build/grid hot paths and
-  write ``benchmarks/BENCH_hotpaths.json`` (``--quick --check`` is the
-  CI perf smoke mode);
+* ``bench`` — measure the lexer/parser/rewrite/workload-generation/
+  dataset-build/grid hot paths and write
+  ``benchmarks/BENCH_hotpaths.json`` (``--quick --check`` is the CI
+  perf smoke mode);
 * ``export`` — write the labeled benchmark datasets to JSON.
 """
 
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = subparsers.add_parser(
         "bench",
-        help="measure lexer/parser/grid hot paths (BENCH_hotpaths.json)",
+        help="measure lexer/parser/rewrite/workload/grid hot paths (BENCH_hotpaths.json)",
     )
     bench_parser.add_argument(
         "--phase",

@@ -1,6 +1,6 @@
 """Hot-path performance benchmark (``repro bench``).
 
-Measures the three hot paths the engine's wall time is made of and
+Measures the hot paths the engine's wall time is made of and
 writes the numbers to ``benchmarks/BENCH_hotpaths.json`` so a reviewer
 can see what a change shipped with:
 
@@ -10,6 +10,9 @@ can see what a change shipped with:
 * **rewrite throughput** — catalog transform chains (clone, seed,
   apply, render) per second over a fixed synthetic corpus, the hot
   path of the rewrite-pair generator;
+* **workload generation** — queries generated per second by the three
+  SQL-log generators at fixed seeds, whose padding loops grow each
+  query to its word-count quota;
 * **dataset build** — serial construction of every (task, workload)
   dataset of the paper grid;
 * **grid wall time** — the full grid (all models x all tasks x their
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import time
 from pathlib import Path
 from typing import Optional
@@ -56,6 +60,11 @@ REWRITE_CORPUS_WORKLOAD = "synthetic:rewrite:n=40"
 #: Chain depth used by the rewrite measurement (the hard-positive
 #: depth the pair generator uses).
 REWRITE_CHAIN_STEPS = 3
+
+#: Seeds the workload-generation measurement generates each SQL-log
+#: workload at.  Fixed, and independent of ``--seed`` and ``--quick``,
+#: so every run times the same queries as the committed baseline.
+WORKLOAD_SEEDS: tuple[int, ...] = (0, 1, 2)
 
 #: ``--check`` thresholds for quick mode.  Values are ~3x worse than
 #: what a cold CI container measures with the shipped code, so they trip
@@ -276,6 +285,33 @@ def measure_rewrite(seed: int, repeats: int = 3) -> dict:
     }
 
 
+def measure_workloads(repeats: int = 3) -> dict:
+    """Workload-generation throughput: queries generated per second.
+
+    Times the SQL-log generators over :data:`WORKLOAD_SEEDS`, best of
+    *repeats*.  Generation is deterministic and uncached, so every
+    repetition builds the same queries from scratch.
+    """
+    from repro.workloads import load_workload
+
+    def sweep() -> int:
+        return sum(
+            len(load_workload(name, seed))
+            for name in CORPUS_WORKLOADS
+            for seed in WORKLOAD_SEEDS
+        )
+
+    queries = sweep()
+    seconds = _best_of(repeats, sweep)
+    return {
+        "workloads": list(CORPUS_WORKLOADS),
+        "seeds": list(WORKLOAD_SEEDS),
+        "queries": queries,
+        "raw_s": round(seconds, 4),
+        "queries_per_s": round(queries / seconds, 1) if seconds else None,
+    }
+
+
 def _grid_answers(grids: dict) -> dict:
     """Flatten grids to {(task, model, workload): answers} for identity checks."""
     return {
@@ -381,6 +417,7 @@ def measure(
         "lexer": measure_lexer(texts),
         "parser": measure_parser(texts),
         "rewrite": measure_rewrite(seed),
+        "workloads": measure_workloads(),
         "grid": measure_grid(workers, max_instances, seed, tasks),
     }
     return measurements
@@ -415,20 +452,25 @@ def _speedups(before: dict, after: dict) -> dict:
         "rewrite_throughput": ratio(
             ("rewrite", "rewrites_per_s"), invert=True
         ),
+        "workload_generation": ratio(
+            ("workloads", "queries_per_s"), invert=True
+        ),
     }
 
 
 #: Metrics compared by :func:`check_against_baseline`.  Only corpus
 #: throughput rates qualify: they are independent of ``--quick``'s grid
 #: scaling (the lex/parse corpus is always the full three SQL-log
-#: workloads, the rewrite corpus a fixed synthetic workload), so a
-#: quick CI run is comparable to the committed full-run baseline.
+#: workloads, the rewrite corpus a fixed synthetic workload, the
+#: generation corpus the SQL-log workloads at fixed seeds), so a quick
+#: CI run is comparable to the committed full-run baseline.
 BASELINE_METRICS: tuple[tuple[str, str], ...] = (
     ("lexer", "raw_tokens_per_s"),
     ("lexer", "cached_texts_per_s"),
     ("parser", "raw_texts_per_s"),
     ("parser", "cached_texts_per_s"),
     ("rewrite", "rewrites_per_s"),
+    ("workloads", "queries_per_s"),
 )
 
 #: Allowed per-metric regression vs the baseline, after normalizing out
@@ -522,6 +564,8 @@ def run_bench(
             "seed": seed,
             "cpu_count": os.cpu_count(),
             "cpus_available": cpus_available,
+            "python": platform.python_version(),
+            "machine": platform.machine(),
         }
     )
     payload[phase] = measurements
@@ -541,6 +585,10 @@ def run_bench(
     print(f"rewrite chains  : {rewrite['raw_s']:.3f}s "
           f"({rewrite['rewrites_per_s']} rewrites/s over "
           f"{rewrite['queries']} queries)")
+    generation = measurements["workloads"]
+    print(f"workload gen    : {generation['raw_s']:.3f}s "
+          f"({generation['queries_per_s']} queries/s over "
+          f"{generation['queries']} queries)")
     print(f"dataset build   : {grid['dataset_build_s']:.3f}s")
     print(f"serial cold     : {grid['serial_cold_s']:.3f}s "
           f"({grid['cells']} cells, {grid['instances']} instances)")

@@ -53,12 +53,30 @@ def and_all(exprs: list[n.Expr]) -> n.Expr | None:
     return combined
 
 
-def append_condition(core: n.SelectCore, condition: n.Expr) -> None:
-    """AND *condition* onto the core's WHERE clause."""
+def append_condition(core: n.SelectCore, condition: n.Expr) -> int:
+    """AND *condition* onto the core's WHERE clause.
+
+    Returns the words this adds to the rendered statement: the ``WHERE``
+    or ``AND`` keyword plus the condition's own words.  The parentheses
+    the renderer may wrap around an AND operand add no whitespace, so
+    the count is exact.
+    """
     if core.where is None:
         core.where = condition
     else:
         core.where = n.Binary(op="AND", left=core.where, right=condition)
+    return 1 + _word_count(condition)
+
+
+def append_select_item(core: n.SelectCore, item: n.SelectItem) -> int:
+    """Append *item* to the core's select list.
+
+    Returns the words this adds to the rendered statement: select items
+    are joined by ``", "``, so that is the expression's words plus two
+    for `` AS alias``.
+    """
+    core.items.append(item)
+    return _word_count(item.expr) + (2 if item.alias else 0)
 
 
 def pick_numeric_column(
@@ -170,6 +188,10 @@ def statement_word_count(statement: n.Statement) -> int:
     return len(render(statement).split())
 
 
+def _word_count(expr: n.Expr) -> int:
+    return len(render(expr).split())
+
+
 def pad_select_to_words(
     statement: n.Statement,
     core: n.SelectCore,
@@ -185,11 +207,18 @@ def pad_select_to_words(
     type-correct predicates; select-list widening switches to expression
     columns once plain columns run out, so arbitrarily long queries stay
     clean.  ``max_predicates`` caps WHERE growth to keep predicate_count
-    distributions in range.
+    distributions in range.  The statement is rendered once; each step
+    adds the words it contributes, so padding runs in linear time.
     """
     added_predicates = 0
     guard = 0
-    while statement_word_count(statement) < target_words and guard < 300:
+    words = statement_word_count(statement)
+    existing = {
+        (item.expr.table, item.expr.name.lower())
+        for item in core.items
+        if isinstance(item.expr, n.ColumnRef)
+    }
+    while words < target_words and guard < 300:
         guard += 1
         grow_select = rng.random() < 0.62
         if not grow_select and (
@@ -198,23 +227,19 @@ def pad_select_to_words(
             ctx = rng.choice(ctxs)
             predicate = random_predicate(ctx, rng, qualify)
             if predicate is not None:
-                append_condition(core, predicate)
+                words += append_condition(core, predicate)
                 added_predicates += 1
                 continue
         ctx = rng.choice(ctxs)
-        existing = {
-            (item.expr.table, item.expr.name.lower())
-            for item in core.items
-            if isinstance(item.expr, n.ColumnRef)
-        }
         candidates = [
             c
             for c in ctx.table.columns
             if (ctx.label if qualify else None, c.name.lower()) not in existing
         ]
         if candidates:
-            column = rng.choice(candidates)
-            core.items.append(n.SelectItem(expr=ctx.ref(column.name, qualify)))
+            ref = ctx.ref(rng.choice(candidates).name, qualify)
+            existing.add((ref.table, ref.name.lower()))
+            words += append_select_item(core, n.SelectItem(expr=ref))
             continue
         column = pick_numeric_column(ctx, rng)
         if column is None:
@@ -225,7 +250,7 @@ def pad_select_to_words(
             right=number_literal(rng.randint(1, 9)),
         )
         alias = f"expr_{len(core.items)}"
-        core.items.append(n.SelectItem(expr=expr, alias=alias))
+        words += append_select_item(core, n.SelectItem(expr=expr, alias=alias))
 
 
 def join_tree_from_edges(

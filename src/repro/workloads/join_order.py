@@ -28,6 +28,8 @@ from repro.workloads.base import JOIN_ORDER, Workload, WorkloadQuery
 from repro.workloads.builders import (
     SourceCtx,
     and_all,
+    append_condition,
+    append_select_item,
     fk_join_path,
     random_predicate,
     statement_word_count,
@@ -152,15 +154,17 @@ class _JobBuilder:
             where=and_all(join_conditions + filters),
         )
         statement = n.SelectStatement(query=n.Query(body=core))
+        words = statement_word_count(statement)
         guard = 0
-        while statement_word_count(statement) < target_words and guard < 80:
+        while words < target_words and guard < 80:
             guard += 1
             if rng.random() < 0.15 and len(core.items) < 4:
-                core.items.extend(self._min_items(ctx_list, 1, offset=len(core.items)))
+                (item,) = self._min_items(ctx_list, 1, offset=len(core.items))
+                words += append_select_item(core, item)
             else:
                 predicate = random_predicate(rng.choice(ctx_list), rng, qualify=True)
                 if predicate is not None:
-                    core.where = n.Binary(op="AND", left=core.where, right=predicate)
+                    words += append_condition(core, predicate)
         return statement
 
     def _min_items(

@@ -164,14 +164,13 @@ class _SdssBuilder:
             group_by=[n.ColumnRef(name=group_col.name)],
         )
         statement = n.SelectStatement(query=n.Query(body=core))
+        words = statement_word_count(statement)
         guard = 0
-        while statement_word_count(statement) < target_words and guard < 10:
+        while words < target_words and guard < 10:
             guard += 1
             predicate = random_predicate(ctx, rng, qualify=False)
             if predicate is not None:
-                from repro.workloads.builders import append_condition
-
-                append_condition(core, predicate)
+                words += append_condition(core, predicate)
         if rng.random() < 0.5:
             core.order_by = [
                 n.OrderItem(expr=n.ColumnRef(name="n"), direction="DESC")
@@ -188,10 +187,9 @@ class _SdssBuilder:
         )
         ctx = self._ctx(core.from_items[0].name)
         pad = random_predicate(ctx, self.rng, qualify=False)
-        from repro.workloads.builders import append_condition
-
-        while statement_word_count(statement) < target_words and pad is not None:
-            append_condition(core, pad)
+        words = statement_word_count(statement)
+        while words < target_words and pad is not None:
+            words += append_condition(core, pad)
             pad = random_predicate(ctx, self.rng, qualify=False)
         return statement
 

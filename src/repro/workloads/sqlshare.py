@@ -195,12 +195,13 @@ class _SqlShareBuilder:
             ),
         )
         statement = n.SelectStatement(query=n.Query(body=core))
+        words = statement_word_count(statement)
         guard = 0
-        while statement_word_count(statement) < target_words and guard < 12:
+        while words < target_words and guard < 12:
             guard += 1
             predicate = random_predicate(ctx, rng, qualify=False)
             if predicate is not None:
-                append_condition(core, predicate)
+                words += append_condition(core, predicate)
         if rng.random() < 0.5:
             core.order_by = [n.OrderItem(expr=n.ColumnRef(name="n"), direction="DESC")]
         return statement
@@ -322,12 +323,13 @@ class _SqlShareBuilder:
         )
         statement = n.SelectStatement(query=query)
         inner_ctx = SourceCtx(table=ctx.table)
+        words = statement_word_count(statement)
         guard = 0
-        while statement_word_count(statement) < target_words and guard < 10:
+        while words < target_words and guard < 10:
             guard += 1
             extra = random_predicate(inner_ctx, rng, qualify=False)
             if extra is not None:
-                append_condition(inner_core, extra)
+                words += append_condition(inner_core, extra)
         return statement
 
     def create_table(self) -> n.Statement:

@@ -6,6 +6,10 @@ throughput ratio by the median ratio before applying the tolerance: a
 uniformly slow runner passes, a single regressed hot path fails.
 """
 
+import json
+import platform
+from collections import defaultdict
+
 import pytest
 
 from repro.perf.bench import (
@@ -84,6 +88,7 @@ class TestCheckAgainstBaseline:
             ("parser", "raw_texts_per_s"),
             ("parser", "cached_texts_per_s"),
             ("rewrite", "rewrites_per_s"),
+            ("workloads", "queries_per_s"),
         }
 
 
@@ -117,6 +122,32 @@ class TestMeasureRewrite:
             second["chains"],
             second["steps"],
         )
+
+
+class TestMeasureWorkloads:
+    def test_reports_generation_throughput(self, monkeypatch):
+        from repro.perf import bench
+
+        monkeypatch.setattr(bench, "CORPUS_WORKLOADS", ("sqlshare",))
+        monkeypatch.setattr(bench, "WORKLOAD_SEEDS", (0, 1))
+        result = bench.measure_workloads(repeats=1)
+        assert result["queries"] == 2 * 250
+        assert result["raw_s"] > 0
+        assert result["queries_per_s"] > 0
+
+
+class TestRunBench:
+    def test_records_host_fingerprint(self, monkeypatch, tmp_path):
+        from repro.perf import bench
+
+        # Every measured value reads as 1: a passing, printable run.
+        measurements = defaultdict(lambda: defaultdict(lambda: 1))
+        monkeypatch.setattr(bench, "measure", lambda *args: measurements)
+        out = tmp_path / "BENCH_hotpaths.json"
+        assert bench.run_bench(out=out) == 0
+        payload = json.loads(out.read_text())
+        assert payload["python"] == platform.python_version()
+        assert payload["machine"] == platform.machine()
 
 
 class TestVerifyRawWork:

@@ -12,12 +12,15 @@ from repro.workloads.builders import (
     SourceCtx,
     and_all,
     append_condition,
+    append_select_item,
     fk_join_path,
+    number_literal,
     numeric_predicate,
     pad_select_to_words,
     random_predicate,
     select_columns,
     statement_word_count,
+    string_literal,
     text_predicate,
 )
 
@@ -73,6 +76,42 @@ class TestCombinators:
         assert core.where == n.ColumnRef(name="a")
         append_condition(core, n.ColumnRef(name="b"))
         assert core.where.op == "AND"
+
+    def test_appends_return_the_words_they_add(self):
+        """Padding counts words incrementally from these return values,
+        so each must equal the growth of the fully rendered statement."""
+        a, b = n.ColumnRef(name="a", table="t"), n.ColumnRef(name="b")
+        one = number_literal(1)
+        core = n.SelectCore(items=[n.SelectItem(expr=a)], from_items=[n.NamedTable(name="t")])
+        statement = n.SelectStatement(query=n.Query(body=core))
+        subquery = n.Query(
+            body=n.SelectCore(items=[n.SelectItem(expr=b)], from_items=[n.NamedTable(name="u")])
+        )
+        conditions = [
+            # An OR conjunct is parenthesised once it becomes an AND operand.
+            n.Binary(
+                op="OR",
+                left=n.Binary(op="=", left=a, right=one),
+                right=n.Binary(op=">", left=b, right=one),
+            ),
+            n.Binary(op="AND", left=n.Binary(op="<", left=a, right=one), right=b),
+            n.Between(expr=b, low=one, high=number_literal(2.5)),
+            n.InSubquery(expr=a, query=subquery),
+            n.Like(expr=b, pattern=string_literal("two words%")),
+        ]
+        for condition in conditions:
+            before = statement_word_count(statement)
+            added = append_condition(core, condition)
+            assert statement_word_count(statement) == before + added
+        items = [
+            n.SelectItem(expr=b),
+            n.SelectItem(expr=n.Binary(op="+", left=a, right=one), alias="expr_2"),
+            n.SelectItem(expr=n.FuncCall(name="MIN", args=[a]), alias="t_a_3"),
+        ]
+        for item in items:
+            before = statement_word_count(statement)
+            added = append_select_item(core, item)
+            assert statement_word_count(statement) == before + added
 
 
 class TestSelectColumns:
