@@ -15,7 +15,10 @@ Three namespaces under one cache root:
   shard dispatch ship keys instead of pickled instance payloads;
 * ``workloads/`` — each loaded :class:`Workload`, pickled under a key
   hashing (workload, seed), so workers that must *build* a dataset load
-  the workload in milliseconds instead of regenerating it per process.
+  the workload in milliseconds instead of regenerating it per process;
+  the streaming path spills a workload's query stream under the same
+  key as segments (``workloads/<key>/``), so each later pass replays
+  it instead of running the generator again.
 
 Change any input and the key changes, so stale entries are never served
 — they are simply never looked up again.  Every write goes through
@@ -32,7 +35,7 @@ import json
 import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.lifecycle.atomic import write_atomic
 from repro.llm.backends.base import SIMULATED_SPEC, BackendSpec
@@ -397,6 +400,9 @@ class ResultCache:
     def _dataset_segment_dir(self, key: str) -> Path:
         return self.root / "datasets" / key
 
+    def _workload_segment_dir(self, key: str) -> Path:
+        return self.root / "workloads" / key
+
     def _cell_segment_dir(self, key: str) -> Path:
         return self.root / "cells" / key[:2] / key
 
@@ -436,11 +442,40 @@ class ResultCache:
         }
         return write_atomic(directory / "manifest.json", json.dumps(manifest))
 
+    def _put_pickled_segment(self, directory: Path, index: int, items: list) -> Path:
+        return write_atomic(
+            directory / self._segment_name(index, ".pkl"),
+            pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL),
+        )
+
+    def _iter_pickled_segments(
+        self, directory: Path, manifest: Optional[dict], label: str
+    ) -> Iterator[list]:
+        """Yield the pickled segments a committed ``manifest`` lists.
+
+        Raises :class:`CacheSegmentError` when there is no manifest, or a
+        segment is missing, truncated, or the wrong length.
+        """
+        if manifest is None:
+            raise CacheSegmentError(f"no committed segments for {label}")
+        for index, count in enumerate(manifest["counts"]):
+            path = directory / self._segment_name(index, ".pkl")
+            try:
+                with path.open("rb") as handle:
+                    items = pickle.load(handle)
+                if not isinstance(items, list) or len(items) != count:
+                    raise ValueError("segment length mismatch")
+            except (OSError, ValueError, pickle.UnpicklingError, EOFError,
+                    AttributeError, ImportError, IndexError) as error:
+                raise CacheSegmentError(
+                    f"segment {index} of {label} unreadable: {error}"
+                ) from error
+            yield items
+
     def put_dataset_segment(self, key: str, index: int, instances: list) -> Path:
         """Store one dataset segment (a list of TaskInstance) atomically."""
-        path = self._dataset_segment_dir(key) / self._segment_name(index, ".pkl")
-        return write_atomic(
-            path, pickle.dumps(instances, protocol=pickle.HIGHEST_PROTOCOL)
+        return self._put_pickled_segment(
+            self._dataset_segment_dir(key), index, instances
         )
 
     def commit_dataset_segments(
@@ -471,23 +506,47 @@ class ResultCache:
         Raises :class:`CacheSegmentError` when a segment is missing,
         truncated, or the wrong length — callers recompute from scratch.
         """
-        manifest = self.get_dataset_manifest(key)
-        if manifest is None:
-            raise CacheSegmentError(f"no committed dataset segments for {key}")
-        directory = self._dataset_segment_dir(key)
-        for index, count in enumerate(manifest["counts"]):
-            path = directory / self._segment_name(index, ".pkl")
-            try:
-                with path.open("rb") as handle:
-                    instances = pickle.load(handle)
-                if not isinstance(instances, list) or len(instances) != count:
-                    raise ValueError("segment length mismatch")
-            except (OSError, ValueError, pickle.UnpicklingError, EOFError,
-                    AttributeError, ImportError, IndexError) as error:
-                raise CacheSegmentError(
-                    f"dataset segment {index} of {key} unreadable: {error}"
-                ) from error
-            yield instances
+        yield from self._iter_pickled_segments(
+            self._dataset_segment_dir(key),
+            self.get_dataset_manifest(key),
+            f"dataset {key}",
+        )
+
+    def put_workload_segment(self, key: str, index: int, queries: list) -> Path:
+        """Store one spilled workload segment (a list of WorkloadQuery)."""
+        return self._put_pickled_segment(
+            self._workload_segment_dir(key), index, queries
+        )
+
+    def commit_workload_segments(
+        self, key: str, chunk_size: int, counts: Sequence[int]
+    ) -> Path:
+        """Write the workload spill manifest — the commit point for the spill."""
+        return self._commit_manifest(
+            self._workload_segment_dir(key),
+            "workload-segments",
+            chunk_size,
+            counts,
+            None,
+        )
+
+    def get_workload_manifest(self, key: str) -> Optional[dict]:
+        """The committed workload spill manifest, or None."""
+        return self._read_manifest(
+            self._workload_segment_dir(key), "workload-segments"
+        )
+
+    def iter_workload_segments(self, key: str):
+        """Yield a committed workload spill's query segments in order.
+
+        Raises :class:`CacheSegmentError` like
+        :meth:`iter_dataset_segments`.
+        """
+        yield from self._iter_pickled_segments(
+            self._workload_segment_dir(key),
+            self.get_workload_manifest(key),
+            f"workload {key}",
+        )
 
     def put_cell_segment(
         self, key: str, index: int, answers: list[ModelAnswer]
@@ -546,6 +605,7 @@ class ResultCache:
         for directory in (
             self._cell_segment_dir(key),
             self._dataset_segment_dir(key),
+            self._workload_segment_dir(key),
         ):
             if not directory.is_dir():
                 continue
@@ -558,60 +618,59 @@ class ResultCache:
                 pass
 
     # -- maintenance -------------------------------------------------------
+    #
+    # The three ``*entries()`` listings count entries, not files: one
+    # path per monolithic file and one per committed segmented entry
+    # (its manifest).  ``segment_entries()`` lists the files behind the
+    # segmented ones.
+
+    def _glob(self, *patterns: str) -> list[Path]:
+        if not self.root.is_dir():
+            return []
+        return sorted(path for pattern in patterns for path in self.root.glob(pattern))
 
     def entries(self) -> list[Path]:
-        if not self.root.is_dir():
-            return []
-        return sorted(self.root.glob("cells/*/*.json"))
+        return self._glob("cells/*/*.json", "cells/*/*/manifest.json")
 
     def dataset_entries(self) -> list[Path]:
-        if not self.root.is_dir():
-            return []
-        return sorted(self.root.glob("datasets/*.pkl"))
+        return self._glob("datasets/*.pkl", "datasets/*/manifest.json")
 
     def workload_entries(self) -> list[Path]:
-        if not self.root.is_dir():
-            return []
-        return sorted(self.root.glob("workloads/*.pkl"))
+        return self._glob("workloads/*.pkl", "workloads/*/manifest.json")
 
     def segment_entries(self) -> list[Path]:
-        """Every segment file and manifest across both namespaces."""
-        if not self.root.is_dir():
-            return []
-        return sorted(
-            [
-                *self.root.glob("datasets/*/seg-*.pkl"),
-                *self.root.glob("datasets/*/manifest.json"),
-                *self.root.glob("cells/*/*/seg-*.json"),
-                *self.root.glob("cells/*/*/manifest.json"),
-            ]
+        """Every segment file and manifest across the three namespaces."""
+        return self._glob(
+            "cells/*/*/seg-*.json",
+            "cells/*/*/manifest.json",
+            "datasets/*/seg-*.pkl",
+            "datasets/*/manifest.json",
+            "workloads/*/seg-*.pkl",
+            "workloads/*/manifest.json",
         )
 
-    def size_bytes(self) -> int:
-        return sum(
-            path.stat().st_size
-            for path in (
+    def _files(self) -> list[Path]:
+        return sorted(
+            {
                 *self.entries(),
                 *self.dataset_entries(),
                 *self.workload_entries(),
                 *self.segment_entries(),
-            )
+            }
         )
 
+    def size_bytes(self) -> int:
+        return sum(path.stat().st_size for path in self._files())
+
     def clear(self) -> int:
-        """Delete every cell and dataset entry; returns how many.
+        """Delete every cached file; returns how many.
 
         Also sweeps ``*.tmp.*`` files orphaned by interrupted atomic
         writes (they are invisible to ``entries()`` and would otherwise
         accumulate forever).
         """
         removed = 0
-        for path in (
-            *self.entries(),
-            *self.dataset_entries(),
-            *self.workload_entries(),
-            *self.segment_entries(),
-        ):
+        for path in self._files():
             path.unlink(missing_ok=True)
             removed += 1
         for orphan in self.root.glob("**/*.tmp.*"):

@@ -7,7 +7,11 @@ cell flows through fixed-size chunks end to end:
 
 * **produce** — task instances come from the same lazy generators the
   materialised builders drain (:mod:`repro.tasks.streaming`), re-chunked
-  from the segmented dataset cache on warm runs;
+  from the segmented dataset cache on warm runs.  Each workload is
+  opened once per run.  With a cache, its first complete pass spills
+  the queries into the segment store (``workloads/<key>/``) and every
+  later pass — the run's other tasks, later runs — replays the spill
+  instead of running the generator again;
 * **evaluate** — chunks are dispatched to a pool of queue workers
   (:func:`repro.engine.worker.stream_worker_main`).  Dispatch is
   pull-based with bounded in-flight work: a worker holds at most
@@ -43,13 +47,14 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from repro.engine.cache import CacheSegmentError, cell_key
+from repro.engine.cache import CacheSegmentError, ResultCache, cell_key, workload_key
 from repro.engine.worker import ChunkTask, ShardSpec, evaluate_shard, stream_worker_main
 from repro.evalfw.accumulate import CellAccumulator, StreamedCellResult
 from repro.llm.profiles import ModelProfile
 from repro.prompts.templates import PromptTemplate
 from repro.tasks.streaming import iter_instance_chunks
-from repro.workloads.streaming import stream_workload
+from repro.workloads.base import WorkloadQuery
+from repro.workloads.streaming import WorkloadStream, stream_workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.engine.core import ExperimentEngine
@@ -197,6 +202,25 @@ def _rechunk(segments: Iterator[list], chunk_size: int) -> Iterator[list]:
         yield chunk
 
 
+def _spill(
+    queries: Iterator[WorkloadQuery], cache: ResultCache, key: str, chunk_size: int
+) -> Iterator[WorkloadQuery]:
+    """Pass ``queries`` through, spilling them to the cache as they go.
+
+    Each segment is written before its queries are yielded, so the spill
+    holds the generator's output before any consumer touches it.  The
+    manifest is committed only once the generator is exhausted: a pass
+    that stops early (capped, interrupted, failed) leaves nothing that
+    a later pass could replay.
+    """
+    counts: list[int] = []
+    for segment in _rechunk(iter([queries]), chunk_size):
+        cache.put_workload_segment(key, len(counts), segment)
+        counts.append(len(segment))
+        yield from segment
+    cache.commit_workload_segments(key, chunk_size, counts)
+
+
 class StreamingEvaluator:
     """Runs grid cells through the chunked work-queue data path."""
 
@@ -207,6 +231,9 @@ class StreamingEvaluator:
         self.fault: Optional[StreamFault] = None
         self._pool: Optional[StreamPool] = None
         self._cell_counter = 0
+        #: The first ``stream_workload`` open of each workload this run;
+        #: every later pass is built from it.
+        self._sources: dict[str, WorkloadStream] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -250,11 +277,15 @@ class StreamingEvaluator:
         try:
             result = self._evaluate_cold(profile, task, workload_name, prompt, key)
         except CacheSegmentError:
-            # A dataset segment went bad mid-generation read: drop the
-            # entry and recompute from a clean generator pass.
+            # A dataset segment or workload spill segment went bad
+            # mid-read: drop both entries (else the recompute replays the
+            # same bad segment) and recompute from a clean generator pass.
             if engine.cache is not None:
                 engine.cache.discard_segments(
                     engine._dataset_disk_key(task, workload_name)
+                )
+                engine.cache.discard_segments(
+                    workload_key(workload_name, engine.config.seed)
                 )
             result = self._evaluate_cold(profile, task, workload_name, prompt, key)
         return result, False, round(time.perf_counter() - started, 6)
@@ -329,8 +360,9 @@ class StreamingEvaluator:
 
         Warm: committed dataset segments (re-chunked to the configured
         chunk size), else a monolithic dataset entry.  Cold: the lazy
-        task-instance generators, persisting segments as they pass so
-        sibling cells (other models, warm reruns) stream from disk.
+        task-instance generators over one pass of the workload,
+        persisting segments as they pass so sibling cells (other models,
+        warm reruns) stream from disk.
         """
         engine = self.engine
         cache = engine.cache
@@ -346,7 +378,7 @@ class StreamingEvaluator:
                 return _rechunk(iter([dataset.instances]), chunk_size), True
 
         def generate() -> Iterator[list]:
-            source = stream_workload(workload_name, engine.config.seed)
+            source = self._workload_pass(workload_name)
             counts: list[int] = []
             for chunk in iter_instance_chunks(
                 task,
@@ -370,6 +402,36 @@ class StreamingEvaluator:
         if cache is not None:
             cache.stats.dataset_misses += 1
         return generate(), False
+
+    def _workload_pass(self, workload_name: str) -> WorkloadStream:
+        """One pass over a workload's queries.
+
+        ``stream_workload`` opens each workload once per run.  With a
+        cache, a committed spill of the workload (any earlier complete
+        pass, this run or an earlier one) is replayed segment by
+        segment; otherwise this pass iterates the opened stream and
+        spills it.  Without a cache every pass iterates the opened
+        stream afresh, which re-runs a synthetic generator.
+        """
+        engine = self.engine
+        source = self._sources.get(workload_name)
+        if source is None:
+            source = stream_workload(workload_name, engine.config.seed)
+            self._sources[workload_name] = source
+        cache = engine.cache
+        if cache is None:
+            return source
+        key = workload_key(workload_name, engine.config.seed)
+        if cache.get_workload_manifest(key) is not None:
+            def replay() -> Iterator[WorkloadQuery]:
+                return chain.from_iterable(cache.iter_workload_segments(key))
+
+            return WorkloadStream(source.name, source.schemas, source.total, replay)
+
+        def spill() -> Iterator[WorkloadQuery]:
+            return _spill(source.factory(), cache, key, engine.config.chunk_size)
+
+        return WorkloadStream(source.name, source.schemas, source.total, spill)
 
     # -- cold path ---------------------------------------------------------
 

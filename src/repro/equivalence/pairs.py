@@ -14,7 +14,7 @@ is plan-dependent under ties, which would poison ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.equivalence.checker import EquivalenceChecker
@@ -27,6 +27,7 @@ from repro.equivalence.transforms import (
     apply_equivalence_transform,
 )
 from repro.sql import nodes as n
+from repro.sql.properties import QueryProperties
 from repro.sql.render import render
 from repro.util import derive_rng
 from repro.workloads.base import Workload, WorkloadQuery
@@ -44,6 +45,9 @@ class QueryPair:
     second_text: str
     equivalent: bool
     pair_type: str
+    #: The source query's measured properties; ``first_text`` renders
+    #: that query, so measuring the text again would give the same.
+    first_props: QueryProperties
     detail: str = ""
 
 
@@ -233,6 +237,7 @@ def _build_pair(
             second_text=rewrite.text,
             equivalent=equivalent,
             pair_type=rewrite.pair_type,
+            first_props=replace(query.properties),
             detail=rewrite.detail,
         )
     return None

@@ -11,7 +11,6 @@ from repro.llm.simulated import SimulatedLLM
 from repro.parsing import extract_equivalence, extract_label
 from repro.prompts.templates import QUERY_EQUIV as PROMPT_KEY
 from repro.prompts.templates import PromptTemplate, prompt_for
-from repro.sql.properties import extract_properties
 from repro.tasks.base import QUERY_EQUIV, ModelAnswer, TaskDataset, TaskInstance
 from repro.workloads.base import Workload
 
@@ -33,7 +32,6 @@ def iter_query_equiv_instances(
     for pair in iter_equivalence_pairs(
         source, seed=seed, max_pairs=max_pairs, verify=verify
     ):
-        props = extract_properties(pair.first_text)
         yield TaskInstance(
             instance_id=pair.pair_id,
             task=QUERY_EQUIV,
@@ -43,7 +41,7 @@ def iter_query_equiv_instances(
             label=pair.equivalent,
             label_type=pair.pair_type,
             source_query_id=pair.source_query_id,
-            props=props,
+            props=pair.first_props,
             detail=pair.detail,
         )
 

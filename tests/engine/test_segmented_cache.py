@@ -69,10 +69,14 @@ class TestCellSegmentRoundTrip:
         cache.commit_dataset_segments(
             "d" * 16, 1, [1], meta={"task": "t", "workload": "w"}
         )
+        cache.put_workload_segment("w" * 16, 0, ["q"])
+        cache.commit_workload_segments("w" * 16, 1, [1])
         cache.discard_segments("k" * 16)
         cache.discard_segments("d" * 16)
+        cache.discard_segments("w" * 16)
         assert cache.get_cell_manifest("k" * 16) is None
         assert cache.get_dataset_manifest("d" * 16) is None
+        assert cache.get_workload_manifest("w" * 16) is None
         assert cache.segment_entries() == []
 
     def test_no_temp_files_survive_a_write(self, tmp_path):

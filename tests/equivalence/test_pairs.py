@@ -8,6 +8,9 @@ from repro.equivalence import (
     EquivalenceChecker,
     generate_equivalence_pairs,
 )
+from repro.equivalence.pairs import eligible_for_pairing
+from repro.sql.properties import extract_properties
+from repro.sql.render import render
 from repro.workloads import load_workload
 
 
@@ -76,6 +79,38 @@ class TestPairGeneration:
         for pair in pairs:
             assert " TOP " not in pair.first_text
             assert "LIMIT" not in pair.first_text
+
+    def test_pairs_carry_a_copy_of_the_source_properties(self, sdss_pairs):
+        workload, pairs = sdss_pairs
+        by_id = {query.query_id: query for query in workload}
+        for pair in pairs:
+            source = by_id[pair.source_query_id]
+            assert pair.first_props == source.properties
+            assert pair.first_props is not source.properties
+
+
+class TestSourcePropertiesMeasureTheFirstText:
+    """A pair's first text is its source query rendered, and measuring
+    that text gives the source query's properties — which is why a
+    query_equiv instance carries them instead of re-parsing the text."""
+
+    @pytest.mark.parametrize(
+        "name", ("sdss", "sqlshare", "join_order", "spider", "synthetic:default:n=40")
+    )
+    def test_every_pair_eligible_query(self, name):
+        for seed in range(4):
+            for query in load_workload(name, seed):
+                if query.properties.query_type not in ("SELECT", "WITH"):
+                    continue
+                if not eligible_for_pairing(query):
+                    continue
+                text = render(query.statement)
+                assert text == query.text, (name, seed, query.query_id)
+                assert extract_properties(text) == query.properties, (
+                    name,
+                    seed,
+                    query.query_id,
+                )
 
 
 class TestCheckerBehaviour:

@@ -154,3 +154,27 @@ class TestWorkloadGrid:
     def test_empty_strata_value_fails_loudly(self, capsys):
         assert main(["run", "--workload", "synthetic:default", "--strata", ""]) == 2
         assert "at least one stratum" in capsys.readouterr().err
+
+
+class TestCacheInfoAfterChunkedRun:
+    def test_counts_segmented_entries_once_each(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        argv = [
+            "run", "syntax_error", "miss_token",
+            "--workload", "synthetic:default:n=4",
+            "--chunk-size", "50",
+            "--cache-dir", str(cache),
+            "--no-record",
+        ]
+        assert main(argv) == 0
+        assert "cells computed=10 cached=0" in capsys.readouterr().err
+        assert main(["cache", "info", "--cache-dir", str(cache)]) == 0
+        info = dict(
+            (field.strip() for field in line.split(":", 1))
+            for line in capsys.readouterr().out.splitlines()
+        )
+        # Two tasks x five models; one dataset per task; one workload spill.
+        assert (info["cells"], info["datasets"], info["workloads"]) == ("10", "2", "1")
+        assert int(info["size"].split()[0]) > 0
+        assert main(["cache", "clear", "--cache-dir", str(cache)]) == 0
+        assert [path for path in cache.rglob("*") if path.is_file()] == []
