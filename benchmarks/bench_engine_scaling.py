@@ -1,4 +1,4 @@
-"""Engine scaling microbenchmark: serial vs sharded workers vs warm cache.
+"""Engine scaling microbenchmark: serial vs pooled workers vs warm cache.
 
 Runs a full task grid (all models x the task's workloads) three ways —
 in-process serial, across a worker pool, and again from a warm on-disk
@@ -110,11 +110,11 @@ def run(task: str, workers: int, max_instances: int | None, seed: int) -> dict:
     results["serial_s"] = round(serial_s, 3)
     reference = metrics_table(serial_grid, "binary")
 
-    # Cold: pool start-up, worker-side dataset builds, shard evaluation.
+    # Cold: pool start-up, worker-side dataset builds, chunk evaluation.
     cold = ExperimentRunner(seed=seed, max_instances=max_instances, workers=workers)
     try:
         cold_s, parallel_grid = _timed_grid(cold, task)
-        # Steady state: datasets in memory, pool warm — pure sharded
+        # Steady state: datasets in memory, pool warm — pure chunked
         # evaluation throughput (what a long multi-artifact run sees).
         cold.engine.computed_cells = 0
         steady_s, _ = _timed_grid(cold, task)

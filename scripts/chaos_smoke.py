@@ -13,6 +13,8 @@ rows.  Scenarios:
 4. Terminal faults under ``--on-cell-error degrade`` → run completes
    with structured, reported gaps.
 5. A persistently poisoned stream chunk → named error, exit code 1.
+6. A killed queue worker on the materialised path (``--workers 2``) →
+   its chunk is re-dispatched → identical metrics.
 
 Usage: PYTHONPATH=src python scripts/chaos_smoke.py
 """
@@ -157,6 +159,30 @@ def poison_named_error(tmp: Path) -> None:
     print("OK: persistent poison chunk fails loudly with a named error")
 
 
+def kill_worker_redispatch(tmp: Path) -> None:
+    clean = tmp / "clean-kill"
+    chaos = tmp / "kill"
+    pooled = ("--workers", "2")
+    check(run(clean, *pooled) == 0, "kill-worker: clean run failed")
+    check(
+        run(chaos, "--chaos", "kill-worker:chunk=0", *pooled) == 0,
+        "kill-worker: chaos run failed",
+    )
+    check(
+        metrics_of(chaos) == metrics_of(clean),
+        "kill-worker: re-dispatched metrics differ from the clean run",
+    )
+    record = RunRecordStore(chaos / "runs").latest()
+    check(
+        record.stream_stats.get("redispatched", 0) >= 1,
+        "kill-worker: no chunk was re-dispatched",
+    )
+    print(
+        "OK: killed worker on the materialised pool → chunk re-dispatched "
+        "→ identical metrics"
+    )
+
+
 def main_smoke() -> int:
     with tempfile.TemporaryDirectory(prefix="repro-chaos-smoke-") as raw:
         tmp = Path(raw)
@@ -165,6 +191,7 @@ def main_smoke() -> int:
         flaky_recovery(tmp)
         degraded_completion(tmp)
         poison_named_error(tmp)
+        kill_worker_redispatch(tmp)
     print("chaos smoke: all scenarios passed")
     return 0
 

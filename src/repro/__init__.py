@@ -15,7 +15,7 @@ The package provides:
   models, task prompts and response post-processing;
 * :mod:`repro.tasks`, :mod:`repro.evalfw` — task datasets, metrics and the
   experiment runner;
-* :mod:`repro.engine` — the parallel, sharded, cache-backed evaluation
+* :mod:`repro.engine` — the chunked, parallel, cache-backed evaluation
   engine everything above runs through;
 * :mod:`repro.experiments` — one entry point per paper table/figure;
 * :mod:`repro.reporting` — run records and Markdown/HTML/JSON report

@@ -5,7 +5,7 @@ Subcommands:
 * ``list`` — show all reproducible artifacts;
 * ``run <artifact> [...]`` — run one or more artifact reproductions
   (``all`` runs everything) and print their reports.  ``--workers N``
-  fans instance shards across N processes (byte-identical output);
+  runs instance chunks on N worker processes (byte-identical output);
   cells are cached under ``--cache-dir`` unless ``--no-cache`` is given.
   Every run that evaluates grid cells also persists a RunRecord under
   ``--runs-dir`` (``results/runs/`` by default; ``--no-record`` skips)
@@ -116,12 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes for cell evaluation (1 = in-process)",
-    )
-    run_parser.add_argument(
-        "--shard-size",
-        type=int,
-        default=None,
-        help="instances per dispatched shard (default: engine default)",
     )
     run_parser.add_argument(
         "--chunk-size",
@@ -360,12 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes if any cells must be recomputed",
-    )
-    report_parser.add_argument(
-        "--shard-size",
-        type=int,
-        default=None,
-        help="instances per dispatched shard (default: engine default)",
     )
 
     bench_parser = subparsers.add_parser(
@@ -699,9 +687,6 @@ def _cmd_report(args) -> int:
     if args.workers < 1:
         print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
-    if args.shard_size is not None and args.shard_size < 1:
-        print(f"--shard-size must be >= 1, got {args.shard_size}", file=sys.stderr)
-        return 2
 
     store = RunRecordStore(args.runs_dir)
 
@@ -746,7 +731,6 @@ def _cmd_report(args) -> int:
         cache_dir=args.cache_dir,
         out_dir=args.out,
         workers=args.workers,
-        shard_size=args.shard_size,
     )
     print(
         f"[report] cells: {engine.cached_cells} cached, "

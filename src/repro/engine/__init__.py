@@ -1,18 +1,15 @@
-"""Parallel, sharded, cache-backed experiment engine.
+"""Cache-backed experiment engine with one work queue.
 
 Public surface:
 
 * :class:`ExperimentEngine` / :class:`EngineConfig` — evaluate grid
-  cells across a process pool (or deterministically in-process at
-  ``workers=1``), with identical outputs either way;
+  cells in ordered chunks, in-process at ``workers=1`` or on a work
+  queue of worker processes, with identical outputs either way;
 * :class:`ResultCache` and :func:`cell_key` / :func:`dataset_key` /
   :func:`workload_key` — the content-addressed on-disk cache for cells,
   datasets and workloads;
-* :func:`plan_shards` / :func:`merge_shards` — the deterministic shard
-  plan shared by both execution paths;
-* :class:`ShardSpec` — the zero-copy shard unit workers evaluate:
-  a dataset cache key plus a ``[start, stop)`` range (instances travel
-  inline only when no cache directory is configured).
+* :class:`ChunkSpec` / :func:`evaluate_chunk` — one chunk of one cell,
+  carrying its instances, as a queue worker evaluates it.
 """
 
 from repro.engine.cache import (
@@ -26,38 +23,22 @@ from repro.engine.cache import (
     prompt_fingerprint,
     workload_key,
 )
-from repro.engine.core import EngineConfig, ExperimentEngine
-from repro.engine.sharding import (
-    DEFAULT_SHARD_SIZE,
-    Shard,
-    merge_shards,
-    plan_shards,
-)
-from repro.engine.worker import (
-    ShardSpec,
-    build_dataset_remote,
-    evaluate_shard,
-    reset_worker_caches,
-)
+from repro.engine.core import MATERIALISED_CHUNK_SIZE, EngineConfig, ExperimentEngine
+from repro.engine.worker import ChunkSpec, evaluate_chunk
 
 __all__ = [
     "CACHE_VERSION",
     "CacheStats",
-    "DEFAULT_SHARD_SIZE",
+    "ChunkSpec",
     "EngineConfig",
     "ExperimentEngine",
+    "MATERIALISED_CHUNK_SIZE",
     "ResultCache",
-    "Shard",
-    "ShardSpec",
     "answer_from_dict",
     "answer_to_dict",
-    "build_dataset_remote",
     "cell_key",
     "dataset_key",
-    "evaluate_shard",
-    "merge_shards",
-    "plan_shards",
+    "evaluate_chunk",
     "prompt_fingerprint",
-    "reset_worker_caches",
     "workload_key",
 ]

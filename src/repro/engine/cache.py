@@ -10,15 +10,14 @@ Three namespaces under one cache root:
 * ``datasets/`` — each built :class:`TaskDataset`, pickled under a key
   hashing (task, workload, seed, max_instances).  Dataset construction
   (parsing, corruption injection, pair generation) dominates a cold
-  grid run, so warm runs load instead of rebuilding.  Worker processes
-  materialize shard instances from this namespace, which is what lets
-  shard dispatch ship keys instead of pickled instance payloads;
-* ``workloads/`` — each loaded :class:`Workload`, pickled under a key
-  hashing (workload, seed), so workers that must *build* a dataset load
-  the workload in milliseconds instead of regenerating it per process;
-  the streaming path spills a workload's query stream under the same
-  key as segments (``workloads/<key>/``), so each later pass replays
-  it instead of running the generator again.
+  grid run, so warm runs load instead of rebuilding.  The streamed
+  path stores datasets as segments (``datasets/<key>/``) it can
+  re-chunk without holding a whole dataset;
+* ``workloads/`` — the streamed path spills a workload's query stream
+  as segments (``workloads/<key>/``), so each later pass replays it
+  instead of running the generator again.  The monolithic pickled
+  :class:`Workload` format (``get_workload``/``put_workload``) is
+  kept for readers of existing cache directories.
 
 Change any input and the key changes, so stale entries are never served
 — they are simply never looked up again.  Every write goes through

@@ -1,22 +1,31 @@
-"""The parallel, sharded, cache-backed experiment engine.
+"""The cache-backed experiment engine.
 
 The paper's evaluation grid (models x tasks x workloads) is
 embarrassingly parallel: every answer depends only on ``(model, task,
-instance_id)``.  The engine exploits that by splitting each cell into
-contiguous instance shards, fanning the shards of *all* pending cells
-across one long-lived ``ProcessPoolExecutor``, and merging answers back
-in shard order — so a parallel run is byte-identical to the serial one.
+instance_id)``.  The engine splits each cell into ordered chunks of
+instances and merges the answers back in chunk order, so any worker
+count yields byte-identical results.  There is one place chunks run for
+each worker count:
 
-``workers=1`` (the default) never touches multiprocessing: the same
-shard plan is executed in-process, deterministically, which keeps unit
-tests and small runs free of pool start-up cost.
+* ``workers=1`` never touches multiprocessing: :meth:`ExperimentEngine._run_inline`
+  answers a cell's chunks in-process, one dispatch batch per chunk;
+* ``workers>1`` runs on the work queue
+  (:meth:`repro.engine.streaming.StreamingEvaluator.run_queued`), with
+  the chunks of every pending cell in flight at once and missing
+  datasets built on the same workers.
+
+Both data paths use them: the materialised path (the default) holds
+each cell's dataset in memory and cuts it into ``MATERIALISED_CHUNK_SIZE``
+chunks; the streamed path (``chunk_size`` set,
+:mod:`repro.engine.streaming`) produces chunks lazily with memory
+bounded by the chunk size.
 
 With a cache directory configured, evaluated cells are persisted through
 :mod:`repro.engine.cache`; re-running a grid only recomputes cells whose
 inputs (seed, profile, prompt, workload, instance cap, backend) changed.
 
 Model calls go through the pluggable backend layer
-(:mod:`repro.llm.backends`): each shard's requests are batched through
+(:mod:`repro.llm.backends`): each chunk's requests are batched through
 an async dispatcher (bounded concurrency, rate limiting, retries) to
 the configured backend — the in-process simulator by default, an HTTP
 endpoint or a record/replay fixture store otherwise.
@@ -25,30 +34,17 @@ endpoint or a record/replay fixture store otherwise.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.engine.cache import (
     ResultCache,
     cell_key,
     dataset_key,
     prompt_fingerprint,
-    workload_key,
 )
-from repro.engine.sharding import (
-    DEFAULT_SHARD_SIZE,
-    Shard,
-    merge_shards,
-    plan_shards,
-)
-from repro.engine.worker import (
-    ShardSpec,
-    build_workload_datasets_remote,
-    evaluate_shard,
-    init_worker_process,
-)
+from repro.engine.worker import ChunkSpec, DatasetBuild, answer_chunk
 from repro.lifecycle import (
     CELL_COMMITTED,
     CELL_DEGRADED,
@@ -77,19 +73,20 @@ from repro.llm.backends import (
 from repro.llm.profiles import MODEL_PROFILES, ModelProfile
 from repro.llm.simulated import SimulatedLLM
 from repro.prompts.templates import PromptTemplate
-from repro.tasks.base import ModelAnswer, TaskDataset
-from repro.tasks.registry import (
-    TASK_WORKLOADS,
-    answers_from_responses,
-    build_dataset,
-    build_request,
-)
+from repro.tasks.base import ModelAnswer, TaskDataset, TaskInstance
+from repro.tasks.registry import TASK_WORKLOADS, build_dataset
 from repro.workloads import load_workload
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, see below
-    from repro.engine.streaming import StreamingEvaluator
+    from repro.engine.streaming import CellWork, StreamingEvaluator
     from repro.evalfw.runner import CellResult
+
+#: Instances per chunk on the materialised path: small enough that a
+#: typical workload cell (a few hundred instances) splits across all
+#: workers, large enough that per-chunk dispatch overhead stays
+#: negligible.
+MATERIALISED_CHUNK_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -98,7 +95,6 @@ class EngineConfig:
 
     seed: int = 0
     workers: int = 1
-    shard_size: int = DEFAULT_SHARD_SIZE
     cache_dir: Optional[Path] = None  # None disables the result cache
     max_instances: Optional[int] = None
     #: Streamed chunk size; None keeps the materialised data path.  When
@@ -121,9 +117,9 @@ class EngineConfig:
     #: ``asyncio.wait_for`` safety net in the dispatcher.
     request_timeout: Optional[float] = None
     #: Per-cell wall-clock budget in seconds (None = unbounded).  The
-    #: serial path spends it cumulatively across the cell's shards;
-    #: pool paths grant each shard/chunk batch the full budget (coarser,
-    #: but still bounds a hung endpoint per dispatch).
+    #: in-process loop spends it cumulatively across the cell's chunks;
+    #: the work queue grants each chunk the full budget (coarser, but
+    #: still bounds a hung endpoint per dispatch).
     cell_deadline: Optional[float] = None
     #: Circuit-breaker trip threshold (consecutive transient failures).
     #: None = auto: on for remote backends (openai_compat), off for the
@@ -136,8 +132,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.shard_size < 1:
-            raise ValueError(f"shard_size must be >= 1, got {self.shard_size}")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.max_concurrency < 1:
@@ -179,13 +173,13 @@ class EngineConfig:
 class CellLog:
     """Provenance of one served cell: cache hit or computed, and when.
 
-    ``seconds`` is the cell's compute time: wall time for serially
-    computed cells, and the *sum* of the cell's per-shard worker wall
-    times for parallel cells (shards of different cells overlap, so the
-    parent's clock cannot attribute elapsed time — the workers' clocks
-    can).  ``shard_seconds_max`` additionally records the slowest shard
-    of a parallel cell (the cell's critical path); it is None for
-    serial and cached serves.  Cached cells record ~0 seconds.
+    ``seconds`` is the cell's compute time: for a materialised cell the
+    *sum* of its chunk times, measured in-process or by the workers'
+    own clocks on the work queue (chunks of different cells overlap, so
+    the parent's clock cannot attribute elapsed time — the workers'
+    clocks can), with ``chunk_seconds_max`` the slowest chunk (the
+    cell's critical path); for a streamed cell its wall time, with
+    ``chunk_seconds_max`` None.  Cached cells record ~0 seconds.
     ``prompt`` is the prompt-template fingerprint the cell was asked
     with, so a re-serve under a *different* prompt is distinguishable
     from a repeat serve of the same experiment.  The reporting layer
@@ -199,7 +193,7 @@ class CellLog:
     cached: bool
     seconds: Optional[float]
     prompt: str = ""
-    shard_seconds_max: Optional[float] = None
+    chunk_seconds_max: Optional[float] = None
 
 
 class ExperimentEngine:
@@ -230,11 +224,11 @@ class ExperimentEngine:
         #: simulator access survives for ablation harnesses only.
         self._clients: dict[str, SimulatedLLM] = {}
         self._backends: dict[str, ModelBackend] = {}
-        #: Shared token-bucket fill level for the serial path, so --rps
-        #: is sustained across cells instead of re-bursting per cell.
+        #: Shared token-bucket fill level for the in-process loop, so
+        #: --rps is sustained across cells instead of re-bursting per cell.
         self._bucket_state = None
-        #: Shared circuit-breaker health for the serial path: a backend
-        #: that tripped during one cell stays tripped for the next.
+        #: Shared circuit-breaker health for the in-process loop: a
+        #: backend that tripped during one cell stays tripped for the next.
         self._breaker_state: Optional[BreakerState] = None
         #: Lifecycle hooks, wired by the CLI: a write-ahead journal for
         #: crash-safe resume, a graceful-interrupt latch polled at the
@@ -251,7 +245,6 @@ class ExperimentEngine:
         #: Memoised fixtures-content hash (replay mode; one IO pass).
         self._backend_state_memo: Optional[str] = None
         self._by_name = {profile.name: profile for profile in models}
-        self._pool: Optional[ProcessPoolExecutor] = None
         self._streaming: Optional["StreamingEvaluator"] = None
 
     # -- shared state ------------------------------------------------------
@@ -350,9 +343,9 @@ class ExperimentEngine:
     def _checkpoint(self) -> None:
         """Raise :class:`RunInterrupted` if a graceful drain was requested.
 
-        Called between cells (materialised path) and between chunks
-        (streaming path) — the points where everything already served
-        is durable and nothing is half-written.
+        Called between cells and between chunks — the points where
+        everything already served is durable and nothing is
+        half-written.
         """
         if self.interrupt is not None:
             self.interrupt.check()
@@ -374,27 +367,27 @@ class ExperimentEngine:
         if self.on_cell_commit is not None:
             self.on_cell_commit()
 
-    def _is_cell_error(self, error: BaseException) -> bool:
-        """Errors the ``on_cell_error`` policy may absorb.
+    def _fail_cell(
+        self, model: str, task: str, workload: str, error: BaseException
+    ) -> None:
+        """Apply the ``on_cell_error`` policy to a cell that raised ``error``.
 
         Backend failures (retry exhaustion, open circuits, deadlines)
-        and streaming failures (worker crashes, poisoned chunks) poison
-        *one cell*; anything else — including
+        and work-queue failures (worker crashes, poisoned chunks) poison
+        *one cell*: under ``skip``/``degrade`` the failure is journalled
+        and recorded, and the grid goes on.  Under ``fail`` it is
+        journalled and re-raised.  Anything else — including
         :class:`~repro.lifecycle.RunInterrupted` — is about the run and
-        always propagates.
+        always re-raises.
         """
         from repro.engine.streaming import StreamError
 
-        return isinstance(error, (BackendError, StreamError))
-
-    def _absorb_cell_error(
-        self, model: str, task: str, workload: str, error: BaseException
-    ) -> bool:
-        """Apply the cell-error policy; True if the grid should continue."""
+        if not isinstance(error, (BackendError, StreamError)):
+            raise error
         failure = CellFailure.from_exception(model, task, workload, error)
         if self.config.on_cell_error == "fail":
             self._journal_cell(model, task, workload, CELL_FAILED, failure)
-            return False
+            raise error
         state = (
             CELL_SKIPPED
             if self.config.on_cell_error == "skip"
@@ -402,10 +395,9 @@ class ExperimentEngine:
         )
         self.failures.append(failure)
         self._journal_cell(model, task, workload, state, failure)
-        return True
 
-    def _serial_breaker(self) -> Optional[CircuitBreaker]:
-        """The serial path's circuit breaker (shared health across cells)."""
+    def _inline_breaker(self) -> Optional[CircuitBreaker]:
+        """The in-process loop's circuit breaker (shared health across cells)."""
         threshold = self.config.resolved_breaker_threshold()
         if threshold is None:
             return None
@@ -419,17 +411,9 @@ class ExperimentEngine:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _executor(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.workers,
-                initializer=init_worker_process,
-            )
-        return self._pool
-
     @property
     def streaming(self) -> "StreamingEvaluator":
-        """The streamed data path (active when ``chunk_size`` is set)."""
+        """The work queue and the streamed data path."""
         if self._streaming is None:
             # Imported lazily: streaming pulls in evalfw.accumulate,
             # whose package __init__ imports evalfw.runner -> this module.
@@ -450,9 +434,6 @@ class ExperimentEngine:
         # the run record; only its worker pool is torn down.
         if self._streaming is not None:
             self._streaming.close()
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
         for backend in self._backends.values():
             closer = getattr(backend, "close", None)
             if closer is not None:
@@ -488,8 +469,8 @@ class ExperimentEngine:
     ) -> dict[tuple[str, str], "CellResult"]:
         """Evaluate all models on all of a task's workloads.
 
-        All pending shards of all cells are in flight at once, so worker
-        utilisation does not dip at cell boundaries.
+        On the work queue, the chunks of all pending cells are in flight
+        together, so worker utilisation does not dip at cell boundaries.
         """
         names = workloads or TASK_WORKLOADS[task]
         cells = [
@@ -558,51 +539,12 @@ class ExperimentEngine:
             self._journal_cell(profile.name, task, workload_name, CELL_PENDING)
             pending.append((profile, task, workload_name, dataset, key))
 
-        if not pending:
-            return grid
+        work = [self._cell_work(grid, entry, prompt) for entry in pending]
         if self.config.workers == 1:
-            for entry in pending:
-                profile, task, workload_name, dataset, key = entry
-                self._checkpoint()
-                self._journal_cell(
-                    profile.name, task, workload_name, CELL_IN_FLIGHT
-                )
-                started = time.perf_counter()
-                try:
-                    answers = self._evaluate_serial(profile, task, dataset, prompt)
-                except Exception as error:
-                    if not self._is_cell_error(error) or not self._absorb_cell_error(
-                        profile.name, task, workload_name, error
-                    ):
-                        raise
-                    continue
-                seconds = round(time.perf_counter() - started, 6)
-                self._commit_cell(grid, entry, answers, seconds, None, prompt)
-        else:
-            # Parallel cells overlap in wall time, so per-cell time
-            # comes from the workers' own clocks: the sum of a cell's
-            # shard times is its compute cost, the max its critical path.
-            futures = self._submit_parallel(pending, prompt)
-            for entry, cell_futures in zip(pending, futures):
-                profile, task, workload_name, dataset, key = entry
-                self._checkpoint()
-                try:
-                    parts = [future.result() for future in cell_futures]
-                except Exception as error:
-                    if not self._is_cell_error(error) or not self._absorb_cell_error(
-                        profile.name, task, workload_name, error
-                    ):
-                        raise
-                    continue
-                answers = merge_shards(
-                    (index, items) for index, items, _ in parts
-                )
-                shard_seconds = [seconds for _, _, seconds in parts]
-                seconds = round(sum(shard_seconds), 6)
-                max_shard = (
-                    round(max(shard_seconds), 6) if shard_seconds else 0.0
-                )
-                self._commit_cell(grid, entry, answers, seconds, max_shard, prompt)
+            for cell in work:
+                self._run_inline(cell)
+        elif work:
+            self.streaming.run_queued(work)
         # Cached cells land in ``grid`` during the first pass and
         # computed ones only after, so on a mixed hit/miss run the
         # dict's insertion order — which report renderers read as
@@ -615,13 +557,60 @@ class ExperimentEngine:
             if (profile.name, workload_name) in grid
         }
 
+    def _cell_work(
+        self,
+        grid: dict,
+        entry: tuple[ModelProfile, str, str, TaskDataset, Optional[str]],
+        prompt: Optional[PromptTemplate],
+    ) -> "CellWork":
+        """One materialised cell's chunks, for the in-process loop or the queue.
+
+        The cell's ``seconds`` is the sum of its chunk times and
+        ``chunk_seconds_max`` the slowest chunk (its critical path).  On
+        the queue those are the workers' own clocks: queued cells
+        overlap in wall time, so the parent's clock cannot attribute it.
+        """
+        from repro.engine.streaming import CellWork
+
+        profile, task, workload_name, dataset, _ = entry
+        instances = dataset.instances
+        answers: list[ModelAnswer] = []
+        chunk_seconds: list[float] = []
+
+        def chunks() -> Iterator[ChunkSpec]:
+            self._journal_cell(profile.name, task, workload_name, CELL_IN_FLIGHT)
+            for start in range(0, len(instances), MATERIALISED_CHUNK_SIZE):
+                chunk = instances[start : start + MATERIALISED_CHUNK_SIZE]
+                yield self._chunk_spec(profile, task, chunk, prompt)
+
+        def on_merged(_index, _spec, chunk_answers, seconds) -> None:
+            answers.extend(chunk_answers)
+            chunk_seconds.append(seconds)
+
+        def on_done(error: Optional[BaseException]) -> None:
+            if error is not None:
+                self._fail_cell(profile.name, task, workload_name, error)
+                return
+            if self.config.workers > 1:
+                self.streaming.stats.count_cell(len(chunk_seconds), len(answers))
+            self._commit_cell(
+                grid,
+                entry,
+                answers,
+                round(sum(chunk_seconds), 6),
+                round(max(chunk_seconds), 6) if chunk_seconds else 0.0,
+                prompt,
+            )
+
+        return CellWork(chunks=chunks(), on_merged=on_merged, on_done=on_done)
+
     def _commit_cell(
         self,
         grid: dict,
         entry: tuple[ModelProfile, str, str, TaskDataset, Optional[str]],
         answers: list[ModelAnswer],
         seconds: Optional[float],
-        max_shard: Optional[float],
+        chunk_seconds_max: Optional[float],
         prompt: Optional[PromptTemplate],
     ) -> None:
         """Persist and record one computed cell (cache, log, journal)."""
@@ -658,7 +647,7 @@ class ExperimentEngine:
             cached=False,
             seconds=seconds,
             prompt=prompt,
-            shard_seconds_max=max_shard,
+            chunk_seconds_max=chunk_seconds_max,
         )
         self._journal_cell(profile.name, task, workload_name, CELL_COMMITTED)
         self._after_cell_commit()
@@ -668,7 +657,7 @@ class ExperimentEngine:
         cells: Sequence[tuple[ModelProfile, str, str]],
         prompt: Optional[PromptTemplate],
     ) -> dict[tuple[str, str], "CellResult"]:
-        """The chunked data path: cells stream through the work queue.
+        """The chunked data path: cells stream one at a time.
 
         Each cell's instances are produced, evaluated, merged and
         persisted in ``chunk_size``-sized segments; the grid result is a
@@ -685,10 +674,7 @@ class ExperimentEngine:
                     profile, task, workload_name, prompt
                 )
             except Exception as error:
-                if not self._is_cell_error(error) or not self._absorb_cell_error(
-                    profile.name, task, workload_name, error
-                ):
-                    raise
+                self._fail_cell(profile.name, task, workload_name, error)
                 continue
             if cached:
                 self.cached_cells += 1
@@ -706,7 +692,7 @@ class ExperimentEngine:
         cached: bool,
         seconds: Optional[float],
         prompt: Optional[PromptTemplate] = None,
-        shard_seconds_max: Optional[float] = None,
+        chunk_seconds_max: Optional[float] = None,
     ) -> None:
         """Accumulate a served cell for the reporting layer."""
         from repro.evalfw.accumulate import result_instance_count
@@ -721,7 +707,7 @@ class ExperimentEngine:
                 cached=cached,
                 seconds=seconds,
                 prompt=prompt_fingerprint(result.task, prompt),
-                shard_seconds_max=shard_seconds_max,
+                chunk_seconds_max=chunk_seconds_max,
             )
         )
 
@@ -731,9 +717,12 @@ class ExperimentEngine:
         Dataset construction (parsing, corruption injection, pair
         generation) dominates a cold grid run, and ``build_dataset`` is
         deterministic — so each (task, workload) dataset that is neither
-        in memory nor on disk is built exactly once, in a worker, with
-        the builds overlapping each other, and shipped back.
+        in memory nor on disk is built exactly once, on a queue worker,
+        with the builds overlapping each other; the parent keeps and
+        persists what comes back.
         """
+        from repro.engine.streaming import CellWork
+
         missing = []
         for key in sorted(key for key in needed if key not in self._datasets):
             cached = self._dataset_from_disk(*key)
@@ -741,175 +730,108 @@ class ExperimentEngine:
                 self._datasets[key] = cached
             else:
                 missing.append(key)
-        if not missing:
-            return
-        pool = self._executor()
-        cache_root = (
-            str(self.config.cache_dir) if self.cache is not None else None
-        )
-        # One future per *workload*, building all of its missing
-        # datasets: the worker loads the workload once and its analysis
-        # cache is shared across the workload's tasks (which reuse the
-        # same query texts).  One future per dataset would instead have
-        # every worker re-load and re-parse the same workload.
+        # One job per *workload*, building all of its missing datasets:
+        # the worker loads the workload once and its analysis cache is
+        # shared across the workload's tasks (which reuse the same query
+        # texts).  One job per dataset would instead have every worker
+        # re-load and re-parse the same workload.
         by_workload: dict[str, list[str]] = {}
         for task, workload_name in missing:
             by_workload.setdefault(workload_name, []).append(task)
-        futures = {
-            workload_name: pool.submit(
-                build_workload_datasets_remote,
-                workload_name,
-                self.config.seed,
-                tuple(
-                    (
-                        task,
-                        self._dataset_disk_key(task, workload_name)
-                        if cache_root
-                        else None,
-                    )
-                    for task in tasks
-                ),
-                self.config.max_instances,
-                cache_root,
-                workload_key(workload_name, self.config.seed)
-                if cache_root
-                else None,
-            )
-            for workload_name, tasks in by_workload.items()
-        }
-        for workload_name, future in futures.items():
-            for task, dataset in zip(by_workload[workload_name], future.result()):
-                self._datasets[(task, workload_name)] = dataset
-                if cache_root is None:
-                    # With a cache the building worker persisted it.
-                    self._dataset_to_disk(task, workload_name, dataset)
+        if not by_workload:
+            return
 
-    def _evaluate_serial(
+        def keep(_index, build: DatasetBuild, datasets, _seconds) -> None:
+            for task, dataset in zip(build.tasks, datasets):
+                self._datasets[(task, build.workload)] = dataset
+                self._dataset_to_disk(task, build.workload, dataset)
+
+        self.streaming.run_queued(
+            [
+                CellWork(
+                    chunks=[
+                        DatasetBuild(
+                            workload=workload_name,
+                            seed=self.config.seed,
+                            tasks=tuple(tasks),
+                            max_instances=self.config.max_instances,
+                        )
+                    ],
+                    on_merged=keep,
+                )
+                for workload_name, tasks in by_workload.items()
+            ]
+        )
+
+    def _chunk_spec(
         self,
         profile: ModelProfile,
         task: str,
-        dataset: TaskDataset,
+        instances: Sequence[TaskInstance],
         prompt: Optional[PromptTemplate],
-    ) -> list[ModelAnswer]:
-        """In-process fallback: same shard plan, batched per shard.
+    ) -> ChunkSpec:
+        """One chunk as a queue worker evaluates it (full cell deadline)."""
+        config = self.config
+        return ChunkSpec(
+            profile=profile,
+            task=task,
+            instances=tuple(instances),
+            prompt=prompt,
+            backend=config.backend,
+            max_concurrency=config.max_concurrency,
+            rps=config.rps,
+            request_timeout=config.request_timeout,
+            deadline=config.cell_deadline,
+            breaker_threshold=config.resolved_breaker_threshold() or 0,
+        )
 
-        Each shard's requests go through the async dispatcher as one
+    def _run_inline(self, cell: "CellWork") -> None:
+        """The in-process loop (``workers=1``): one cell's chunks, in order.
+
+        Each chunk's requests go through the async dispatcher as one
         batch (bounded concurrency, rate limiting, retries) instead of
         one blocking call at a time — with the simulated backend the
         answers are byte-identical either way, and with an HTTP backend
-        the shard's requests overlap on the wire.
+        the chunk's requests overlap on the wire.  The backend, token
+        bucket and breaker health are the engine's, and the cell
+        deadline is spent cumulatively across the cell's chunks.  As on
+        the work queue, the cell's outcome goes to ``cell.on_done``.
         """
-        backend = self.backend_for(profile.name)
-        dispatcher = AsyncDispatcher(
-            backend,
-            max_concurrency=self.config.max_concurrency,
-            rps=self.config.rps,
-            bucket_state=self._bucket_state,
-            request_timeout=self.config.request_timeout,
-            breaker=self._serial_breaker(),
-        )
+        deadline = self.config.cell_deadline
         cell_started = time.monotonic()
-        parts: list[tuple[int, list[ModelAnswer]]] = []
-        for shard in plan_shards(len(dataset.instances), self.config.shard_size):
-            instances = shard.slice(dataset.instances)
-            remaining: Optional[float] = None
-            if self.config.cell_deadline is not None:
-                remaining = self.config.cell_deadline - (
-                    time.monotonic() - cell_started
+        try:
+            for index, spec in enumerate(cell.chunks):
+                self._checkpoint()
+                if self._streaming is not None:
+                    self._streaming.raise_fault(index)
+                remaining: Optional[float] = None
+                if deadline is not None:
+                    remaining = deadline - (time.monotonic() - cell_started)
+                    if remaining <= 0:
+                        raise DeadlineExceededError(
+                            f"cell deadline of {deadline}s exceeded before "
+                            f"chunk {index} ({spec.profile.name}/{spec.task})"
+                        )
+                dispatcher = AsyncDispatcher(
+                    self.backend_for(spec.profile.name),
+                    max_concurrency=self.config.max_concurrency,
+                    rps=self.config.rps,
+                    bucket_state=self._bucket_state,
+                    request_timeout=self.config.request_timeout,
+                    breaker=self._inline_breaker(),
                 )
-                if remaining <= 0:
-                    raise DeadlineExceededError(
-                        f"cell deadline of {self.config.cell_deadline}s "
-                        f"exceeded before shard {shard.index} "
-                        f"({profile.name}/{task})"
-                    )
-            responses = dispatcher.run_sync(
-                [
-                    build_request(task, profile.name, instance, prompt)
-                    for instance in instances
-                ],
-                deadline_seconds=remaining,
-            )
-            parts.append(
-                (
-                    shard.index,
-                    answers_from_responses(task, instances, responses, profile.name),
+                started = time.perf_counter()
+                answers = answer_chunk(
+                    dispatcher,
+                    spec.profile,
+                    spec.task,
+                    spec.instances,
+                    spec.prompt,
+                    remaining,
                 )
-            )
-        if self.config.rps is not None:
-            self._bucket_state = dispatcher.bucket_state
-        return merge_shards(parts)
-
-    def _submit_parallel(
-        self,
-        pending: Sequence[tuple[ModelProfile, str, str, TaskDataset, Optional[str]]],
-        prompt: Optional[PromptTemplate],
-    ) -> list[list[Future]]:
-        """Fan every shard of every pending cell across the pool at once.
-
-        With a cache directory configured, dispatch is zero-copy: a
-        shard names its dataset by cache key plus a ``[start, stop)``
-        range, and workers materialize the dataset once per process from
-        disk (or rebuild it deterministically) — IPC cost per shard does
-        not scale with instance payload size.  Without a cache the shard
-        carries its instance slice inline, as before.
-
-        Returns one future list per pending cell; the caller collects
-        them cell by cell so the ``on_cell_error`` policy and interrupt
-        checkpoints apply per cell.
-        """
-        pool = self._executor()
-        cache_root = (
-            str(self.config.cache_dir) if self.cache is not None else None
-        )
-        futures: list[list[Future]] = []
-        for profile, task, workload_name, dataset, _ in pending:
-            self._journal_cell(profile.name, task, workload_name, CELL_IN_FLIGHT)
-            shards: list[Shard] = plan_shards(
-                len(dataset.instances), self.config.shard_size
-            )
-            zero_copy = cache_root is not None
-            futures.append(
-                [
-                    pool.submit(
-                        evaluate_shard,
-                        ShardSpec(
-                            profile=profile,
-                            task=task,
-                            workload=workload_name,
-                            index=shard.index,
-                            start=shard.start,
-                            stop=shard.stop,
-                            seed=self.config.seed,
-                            max_instances=self.config.max_instances,
-                            dataset_key=(
-                                self._dataset_disk_key(task, workload_name)
-                                if zero_copy
-                                else None
-                            ),
-                            workload_cache_key=(
-                                workload_key(workload_name, self.config.seed)
-                                if zero_copy
-                                else None
-                            ),
-                            cache_root=cache_root,
-                            instances=(
-                                None
-                                if zero_copy
-                                else tuple(shard.slice(dataset.instances))
-                            ),
-                            prompt=prompt,
-                            backend=self.config.backend,
-                            max_concurrency=self.config.max_concurrency,
-                            rps=self.config.rps,
-                            request_timeout=self.config.request_timeout,
-                            deadline=self.config.cell_deadline,
-                            breaker_threshold=(
-                                self.config.resolved_breaker_threshold() or 0
-                            ),
-                        ),
-                    )
-                    for shard in shards
-                ]
-            )
-        return futures
+                self._bucket_state = dispatcher.bucket_state
+                cell.on_merged(index, spec, answers, time.perf_counter() - started)
+        except Exception as error:
+            cell.on_done(error)
+            return
+        cell.on_done(None)

@@ -1,9 +1,20 @@
-"""Streaming work-queue evaluation: bounded memory at any instance count.
+"""The engine's work queue and its streamed data path.
 
-This is the engine's second data path, active when
-``EngineConfig.chunk_size`` is set.  Instead of materialising a cell's
-dataset and fanning static shards across a ``ProcessPoolExecutor``, the
-cell flows through fixed-size chunks end to end:
+:meth:`StreamingEvaluator.run_queued` is the engine's only process pool.
+It runs an ordered list of cells on queue workers
+(:func:`repro.engine.worker.stream_worker_main`), with the chunks of
+several cells in flight at once.  Dispatch is pull-based with bounded
+in-flight work: a worker holds at most ``PREFETCH`` pending chunks, so
+total in-flight state (and therefore parent memory) is capped at
+``workers x PREFETCH`` chunks regardless of dataset size — that bound IS
+the backpressure, because a cell's chunk producer only advances when a
+slot frees up.  Each cell's results merge in chunk order, and cells
+finish in request order, so nothing downstream depends on the worker
+count.  The materialised path hands it every pending cell (and its
+dataset builds); the streamed path hands it one cell at a time.
+
+The streamed data path, active when ``EngineConfig.chunk_size`` is set,
+flows each cell through fixed-size chunks end to end:
 
 * **produce** — task instances come from the same lazy generators the
   materialised builders drain (:mod:`repro.tasks.streaming`), re-chunked
@@ -12,14 +23,9 @@ cell flows through fixed-size chunks end to end:
   the queries into the segment store (``workloads/<key>/``) and every
   later pass — the run's other tasks, later runs — replays the spill
   instead of running the generator again;
-* **evaluate** — chunks are dispatched to a pool of queue workers
-  (:func:`repro.engine.worker.stream_worker_main`).  Dispatch is
-  pull-based with bounded in-flight work: a worker holds at most
-  ``PREFETCH`` pending chunks, so total in-flight state (and therefore
-  parent memory) is capped at ``workers x PREFETCH`` chunks regardless
-  of dataset size — that bound IS the backpressure, because the chunk
-  producer only advances when a slot frees up;
-* **merge** — results are reordered into chunk order and folded into a
+* **evaluate** — on the work queue, or in the engine's in-process loop
+  at ``workers=1``;
+* **merge** — chunks are folded in order into a
   :class:`~repro.evalfw.accumulate.CellAccumulator`; the chunk's
   instances and answers are dropped immediately after.  Metrics come
   out byte-identical to the materialised path because both share the
@@ -30,25 +36,29 @@ cell flows through fixed-size chunks end to end:
 
 Fault model: a worker that dies mid-chunk is detected via its exit
 code; its assigned chunks are re-dispatched to a fresh worker up to
-``MAX_ATTEMPTS`` times, after which the run fails loudly with
-:class:`StreamWorkerCrash`.  A worker that *reports* an exception
-(poisoned chunk) fails the run immediately with
-:class:`StreamChunkError` after draining in-flight chunks.  Either way
-the failed cell's cache segments are discarded — no partial writes.
+``MAX_ATTEMPTS`` times, after which the chunk's cell fails with
+:class:`StreamWorkerCrash`.  A worker that *reports* an exception fails
+the chunk's cell with that :class:`~repro.llm.backends.BackendError`,
+or with :class:`StreamChunkError` for anything else (a poisoned chunk).
+A failed cell fails alone; the engine's ``on_cell_error`` policy decides
+whether the run goes on.  A failed streamed cell's cache segments are
+discarded — no partial writes.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
+import os
 import queue as queue_module
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.engine.cache import CacheSegmentError, ResultCache, cell_key, workload_key
-from repro.engine.worker import ChunkTask, ShardSpec, evaluate_shard, stream_worker_main
+from repro.engine.worker import ChunkSpec, ChunkTask, DatasetBuild, stream_worker_main
 from repro.evalfw.accumulate import CellAccumulator, StreamedCellResult
 from repro.llm.profiles import ModelProfile
 from repro.prompts.templates import PromptTemplate
@@ -62,7 +72,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Pending chunks a queue worker may hold (1 running + 1 prefetched).
 PREFETCH = 2
 
-#: Total dispatch attempts per chunk before the run fails loudly.
+#: Total dispatch attempts per chunk before its cell fails.
 MAX_ATTEMPTS = 3
 
 #: Seconds between liveness checks while waiting for results.
@@ -70,7 +80,7 @@ POLL_SECONDS = 0.1
 
 
 class StreamError(RuntimeError):
-    """Base class for streaming-engine failures."""
+    """Base class for work-queue failures."""
 
 
 class StreamChunkError(StreamError):
@@ -83,7 +93,7 @@ class StreamWorkerCrash(StreamError):
 
 @dataclass
 class StreamFault:
-    """Test-only fault injection: applied to one chunk of one cell.
+    """Test-only fault injection: applied to one chunk index.
 
     ``once=True`` (the default) arms the fault for the first dispatch
     only, so a crash is followed by a clean re-dispatch; ``once=False``
@@ -99,13 +109,18 @@ class StreamFault:
 
 @dataclass
 class StreamStats:
-    """Aggregate streaming provenance for one engine lifetime."""
+    """Aggregate chunking provenance for one engine lifetime."""
 
     cells: int = 0
     chunks: int = 0
     instances: int = 0
     redispatched: int = 0
     worker_pids: set = field(default_factory=set)
+
+    def count_cell(self, chunks: int, instances: int) -> None:
+        self.cells += 1
+        self.chunks += chunks
+        self.instances += instances
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -115,6 +130,52 @@ class StreamStats:
             "redispatched": self.redispatched,
             "workers_used": len(self.worker_pids),
         }
+
+
+def _reraise(error: Optional[BaseException]) -> None:
+    if error is not None:
+        raise error
+
+
+@dataclass
+class CellWork:
+    """One cell's chunks, for the work queue or the in-process loop.
+
+    ``chunks`` yields the cell's chunk specs lazily, in order.
+    ``on_merged(index, spec, result, seconds)`` sees each chunk's result
+    in chunk order.  ``on_done(error)`` runs once per cell, in request
+    order, with the cell's error or None; it may raise to stop the run,
+    and by default re-raises the cell's error.
+    """
+
+    chunks: Iterable[Union[ChunkSpec, DatasetBuild]]
+    on_merged: Callable[[int, Union[ChunkSpec, DatasetBuild], object, float], None]
+    on_done: Callable[[Optional[BaseException]], None] = _reraise
+
+
+class _CellRun:
+    """Parent-side progress of one queued cell."""
+
+    def __init__(self, cell_id: int, work: CellWork) -> None:
+        self.id = cell_id
+        self.work = work
+        self.source = iter(work.chunks)
+        self.dispatched = 0
+        #: Chunk count, known once the cell's source is exhausted.
+        self.total: Optional[int] = None
+        self.next_merge = 0
+        #: chunk -> (spec, result, seconds), waiting for earlier chunks.
+        self.buffered: dict[int, tuple] = {}
+        self.error: Optional[BaseException] = None
+
+    @property
+    def finished(self) -> bool:
+        return self.error is not None or self.next_merge == self.total
+
+    def fail(self, error: BaseException) -> None:
+        if self.error is None:
+            self.error = error
+            self.buffered.clear()
 
 
 class _QueueWorker:
@@ -138,6 +199,12 @@ class _QueueWorker:
     def dispatch(self, item: ChunkTask) -> None:
         self.assigned.append(item)
         self.task_queue.put(item)
+
+    def settle(self, cell: int, chunk: int) -> None:
+        """Per-worker results arrive in dispatch order: retire the head."""
+        head = self.assigned[0] if self.assigned else None
+        if head is not None and (head.cell, head.chunk) == (cell, chunk):
+            self.assigned.popleft()
 
     def is_dead(self) -> bool:
         return self.process.exitcode is not None
@@ -222,7 +289,7 @@ def _spill(
 
 
 class StreamingEvaluator:
-    """Runs grid cells through the chunked work-queue data path."""
+    """Owns the work queue, and runs cells through the streamed data path."""
 
     def __init__(self, engine: "ExperimentEngine") -> None:
         self.engine = engine
@@ -246,6 +313,26 @@ class StreamingEvaluator:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
+
+    # -- fault injection ---------------------------------------------------
+
+    def take_fault(self, chunk: int) -> Optional[str]:
+        """The injected fault for this dispatch of ``chunk``, if armed."""
+        fault = self.fault
+        if fault is None or fault.chunk != chunk or (fault.once and fault.fired):
+            return None
+        fault.fired += 1
+        return fault.kind
+
+    def raise_fault(self, chunk: int) -> None:
+        """In-process stand-in for a queue worker hitting its fault."""
+        kind = self.take_fault(chunk)
+        if kind == "crash":
+            raise StreamWorkerCrash(f"chunk {chunk} crashed its worker (in-process)")
+        if kind == "poison":
+            raise StreamChunkError(
+                f"chunk {chunk} failed: RuntimeError: injected poison fault"
+            )
 
     # -- cell evaluation ---------------------------------------------------
 
@@ -346,9 +433,7 @@ class StreamingEvaluator:
             return None
         if manifest is not None:
             cache.stats.hits += 1
-        self.stats.cells += 1
-        self.stats.chunks += acc.chunks
-        self.stats.instances += acc.instances
+        self.stats.count_cell(acc.chunks, acc.instances)
         return acc.result(chunk_size)
 
     # -- instance production ----------------------------------------------
@@ -446,58 +531,29 @@ class StreamingEvaluator:
         engine = self.engine
         cache = engine.cache if key is not None else None
         chunk_size = engine.config.chunk_size
-        self._cell_counter += 1
-        cell_no = self._cell_counter
         acc = CellAccumulator(model=profile.name, task=task, workload=workload_name)
         counts: list[int] = []
 
-        def make_task(chunk_index: int, instances: list) -> ChunkTask:
-            fault = None
-            if (
-                self.fault is not None
-                and self.fault.chunk == chunk_index
-                and (not self.fault.once or self.fault.fired == 0)
-            ):
-                fault = self.fault.kind
-                self.fault.fired += 1
-            return ChunkTask(
-                cell=cell_no,
-                chunk=chunk_index,
-                fault=fault,
-                spec=ShardSpec(
-                    profile=profile,
-                    task=task,
-                    workload=workload_name,
-                    index=chunk_index,
-                    start=0,
-                    stop=len(instances),
-                    seed=engine.config.seed,
-                    max_instances=engine.config.max_instances,
-                    instances=tuple(instances),
-                    prompt=prompt,
-                    backend=engine.config.backend,
-                    max_concurrency=engine.config.max_concurrency,
-                    rps=engine.config.rps,
-                    request_timeout=engine.config.request_timeout,
-                    deadline=engine.config.cell_deadline,
-                    breaker_threshold=(
-                        engine.config.resolved_breaker_threshold() or 0
-                    ),
-                ),
-            )
-
-        def on_merged(chunk_index: int, instances: list, answers: list) -> None:
-            acc.add_chunk(instances, answers)
+        def on_merged(chunk_index: int, spec: ChunkSpec, answers: list, _seconds) -> None:
+            acc.add_chunk(spec.instances, answers)
             if cache is not None:
                 cache.put_cell_segment(key, chunk_index, answers)
                 counts.append(len(answers))
 
         instance_chunks, _ = self._instance_chunks(task, workload_name)
+        cell = CellWork(
+            chunks=(
+                engine._chunk_spec(profile, task, instances, prompt)
+                for instances in instance_chunks
+            ),
+            on_merged=on_merged,
+        )
         try:
             if engine.config.workers == 1:
-                self._run_serial(instance_chunks, make_task, on_merged)
+                engine._run_inline(cell)
+                self.stats.worker_pids.add(os.getpid())
             else:
-                self._run_queued(instance_chunks, make_task, on_merged)
+                self.run_queued([cell])
         except BaseException:
             # No partial cache writes: the manifest was never written,
             # so the entry is already invisible — drop the orphaned
@@ -518,148 +574,146 @@ class StreamingEvaluator:
                     "max_instances": engine.config.max_instances,
                 },
             )
-        self.stats.cells += 1
-        self.stats.chunks += acc.chunks
-        self.stats.instances += acc.instances
+        self.stats.count_cell(acc.chunks, acc.instances)
         return acc.result(chunk_size)
-
-    def _run_serial(self, instance_chunks, make_task, on_merged) -> None:
-        """In-process chunk loop (workers=1): no pool, same code path."""
-        for chunk_index, instances in enumerate(instance_chunks):
-            # Chunk boundaries are the streaming path's interrupt
-            # checkpoints: everything merged so far is in segments, and
-            # the BaseException handler in _evaluate_cold discards them
-            # — no partial cache entry ever becomes visible.
-            self.engine._checkpoint()
-            item = make_task(chunk_index, instances)
-            if item.fault == "crash":
-                raise StreamWorkerCrash(
-                    f"chunk {chunk_index} crashed its worker (serial mode)"
-                )
-            if item.fault == "poison":
-                raise StreamChunkError(
-                    f"chunk {chunk_index} failed: RuntimeError: injected poison fault"
-                )
-            _, answers, _ = evaluate_shard(item.spec)
-            on_merged(chunk_index, instances, answers)
-            self.stats.worker_pids.add(multiprocessing.current_process().pid)
 
     # -- work-queue scheduling ---------------------------------------------
 
-    def _run_queued(self, instance_chunks, make_task, on_merged) -> None:
-        """Dispatch chunks to queue workers; merge results in order.
+    def run_queued(self, cells: Sequence[CellWork]) -> None:
+        """Run ``cells`` on the queue workers, several cells in flight.
 
-        In-flight work is bounded at ``workers x PREFETCH`` chunks: the
-        producer (which holds each dispatched chunk's instances for the
-        merge) only advances when a worker slot frees up, which is the
-        backpressure that keeps parent memory flat.
+        The producer walks the cells in order, and in-flight work is
+        bounded at ``workers x PREFETCH`` chunks: a chunk spec (which
+        holds its instances until the merge) is only drawn from its
+        cell's source when a worker slot frees up, which is the
+        backpressure that keeps parent memory flat.  A failing chunk
+        fails only its own cell; its remaining chunks are not
+        dispatched.  Every ``on_done`` runs in request order, and the
+        call returns with nothing in flight.
         """
         pool = self._get_pool()
-        producer = enumerate(instance_chunks)
-        exhausted = False
-        inflight: dict[int, list] = {}  # chunk -> instances (for the merge)
-        attempts: dict[int, int] = {}
-        completed: set[int] = set()
-        buffered: dict[int, list] = {}  # chunk -> answers, out-of-order
-        next_merge = 0
-        pending_error: Optional[StreamError] = None
-
-        def dispatch_capacity() -> list[_QueueWorker]:
-            return [
-                w
-                for w in pool.live_workers()
-                if len(w.assigned) < PREFETCH
-            ]
+        runs: list[_CellRun] = []
+        for work in cells:
+            self._cell_counter += 1
+            runs.append(_CellRun(self._cell_counter, work))
+        by_id = {run.id: run for run in runs}
+        producing = 0  # index of the cell whose chunks are being drawn
+        finishing = 0  # index of the next cell to hand to on_done
+        inflight: dict[tuple[int, int], ChunkTask] = {}
+        attempts: dict[tuple[int, int], int] = {}
 
         def top_up() -> None:
-            nonlocal exhausted
-            while not exhausted:
-                free = dispatch_capacity()
+            nonlocal producing
+            while producing < len(runs):
+                free = [
+                    w for w in pool.live_workers() if len(w.assigned) < PREFETCH
+                ]
                 if not free:
                     return
-                try:
-                    chunk_index, instances = next(producer)
-                except StopIteration:
-                    exhausted = True
-                    return
-                item = make_task(chunk_index, instances)
-                inflight[chunk_index] = instances
-                attempts[chunk_index] = attempts.get(chunk_index, 0) + 1
+                run = runs[producing]
+                spec = None if run.error is not None else next(run.source, None)
+                if spec is None:
+                    if run.error is None:
+                        run.total = run.dispatched
+                    producing += 1
+                    continue
+                item = ChunkTask(
+                    cell=run.id,
+                    chunk=run.dispatched,
+                    spec=spec,
+                    fault=(
+                        self.take_fault(run.dispatched)
+                        if isinstance(spec, ChunkSpec)
+                        else None
+                    ),
+                )
+                run.dispatched += 1
+                inflight[(item.cell, item.chunk)] = item
+                attempts[(item.cell, item.chunk)] = 1
                 min(free, key=lambda w: len(w.assigned)).dispatch(item)
 
         def handle_dead_workers() -> None:
-            nonlocal pending_error
             for worker in [w for w in pool.workers.values() if w.is_dead()]:
                 orphaned = list(worker.assigned)
                 worker.assigned.clear()
                 replacement = pool.replace(worker)
                 for item in orphaned:
-                    if item.chunk in completed:
+                    key = (item.cell, item.chunk)
+                    if key not in inflight:
+                        continue  # its result already arrived
+                    run = by_id[item.cell]
+                    attempts[key] += 1
+                    if run.error is not None:
+                        del inflight[key]  # its cell already failed
                         continue
-                    attempts[item.chunk] = attempts.get(item.chunk, 0) + 1
-                    if attempts[item.chunk] > MAX_ATTEMPTS:
-                        pending_error = StreamWorkerCrash(
-                            f"chunk {item.chunk} killed its worker "
-                            f"{MAX_ATTEMPTS} times; giving up"
+                    if attempts[key] > MAX_ATTEMPTS:
+                        del inflight[key]
+                        run.fail(
+                            StreamWorkerCrash(
+                                f"chunk {item.chunk} killed its worker "
+                                f"{MAX_ATTEMPTS} times; giving up"
+                            )
                         )
-                        return
+                        continue
                     self.stats.redispatched += 1
-                    refault = None
-                    if (
-                        self.fault is not None
-                        and not self.fault.once
-                        and self.fault.chunk == item.chunk
-                    ):
-                        refault = self.fault.kind
+                    persistent = self.fault is not None and not self.fault.once
                     replacement.dispatch(
-                        ChunkTask(
-                            cell=item.cell,
-                            chunk=item.chunk,
-                            spec=item.spec,
-                            fault=refault,
+                        dataclasses.replace(
+                            item, fault=item.fault if persistent else None
                         )
                     )
 
+        def finish_ready() -> None:
+            nonlocal finishing
+            while finishing < len(runs) and runs[finishing].finished:
+                run = runs[finishing]
+                finishing += 1
+                run.work.on_done(run.error)
+
         try:
-            top_up()
-            while inflight or not exhausted:
+            while True:
                 # Interrupt checkpoint: raising here lands in the
                 # BaseException handler below, which drains the pool's
-                # in-flight chunks before the caller discards segments.
+                # in-flight chunks before the caller cleans up.
                 self.engine._checkpoint()
-                if pending_error is not None:
-                    raise pending_error
-                if not inflight:
-                    top_up()
-                    if not inflight and exhausted:
-                        break
+                top_up()
+                finish_ready()
+                if finishing == len(runs) and not inflight:
+                    return
+                if not any(w.assigned for w in pool.workers.values()):
+                    # Work is left but nothing is out on a worker: every
+                    # worker died idle.
+                    handle_dead_workers()
                     continue
                 try:
-                    kind, pid, _cell, chunk, payload = pool.result_queue.get(
+                    kind, pid, cell, chunk, payload = pool.result_queue.get(
                         timeout=POLL_SECONDS
                     )
                 except queue_module.Empty:
                     handle_dead_workers()
                     continue
                 worker = pool.workers.get(pid)
-                if worker is not None and worker.assigned:
-                    # Per-worker results arrive in dispatch order.
-                    if worker.assigned[0].chunk == chunk:
-                        worker.assigned.popleft()
-                if kind == "error":
-                    raise StreamChunkError(f"chunk {chunk} failed: {payload}")
-                if chunk in completed:
+                if worker is not None:
+                    worker.settle(cell, chunk)
+                item = inflight.pop((cell, chunk), None)
+                if item is None:
                     continue  # a re-dispatch raced a slow original
-                answers, _seconds = payload
-                completed.add(chunk)
-                self.stats.worker_pids.add(pid)
-                buffered[chunk] = answers
-                while next_merge in buffered:
-                    on_merged(
-                        next_merge, inflight.pop(next_merge), buffered.pop(next_merge)
+                run = by_id[cell]
+                if kind == "error":
+                    run.fail(
+                        payload
+                        if isinstance(payload, BaseException)
+                        else StreamChunkError(f"chunk {chunk} failed: {payload}")
                     )
-                    next_merge += 1
-                top_up()
+                    continue
+                self.stats.worker_pids.add(pid)
+                if run.error is not None:
+                    continue
+                run.buffered[chunk] = (item.spec, *payload)
+                while run.next_merge in run.buffered:
+                    spec, result, seconds = run.buffered.pop(run.next_merge)
+                    run.work.on_merged(run.next_merge, spec, result, seconds)
+                    run.next_merge += 1
         except BaseException:
             self._drain(pool)
             raise
@@ -669,7 +723,7 @@ class StreamingEvaluator:
 
         Live workers finish (and we discard) what they already pulled,
         so they end at a clean queue boundary; then every worker gets
-        its poison pill and the pool is torn down.  The next cold cell
+        its poison pill and the pool is torn down.  The next queued run
         starts a fresh pool.
         """
         deadline = time.monotonic() + timeout
@@ -677,7 +731,7 @@ class StreamingEvaluator:
             if time.monotonic() > deadline:
                 break
             try:
-                _kind, pid, _cell, chunk, _payload = pool.result_queue.get(
+                _kind, pid, cell, chunk, _payload = pool.result_queue.get(
                     timeout=POLL_SECONDS
                 )
             except queue_module.Empty:
@@ -686,8 +740,7 @@ class StreamingEvaluator:
                         worker.assigned.clear()
                 continue
             worker = pool.workers.get(pid)
-            if worker is not None and worker.assigned:
-                if worker.assigned[0].chunk == chunk:
-                    worker.assigned.popleft()
+            if worker is not None:
+                worker.settle(cell, chunk)
         pool.close()
         self._pool = None

@@ -1,44 +1,41 @@
-"""Worker-side functions for the engine's process pool.
+"""Worker-side functions for the engine's work queue.
 
-Two kinds of work cross the pool boundary:
+Queue workers (:func:`stream_worker_main`) pull :class:`ChunkTask`
+descriptors and send results back.  A task carries one of two kinds of
+work:
 
-* :func:`evaluate_shard` — answer one contiguous slice of a cell's
-  instances.  The shard travels as a :class:`ShardSpec` that names the
-  dataset by its on-disk cache key plus a ``[start, stop)`` range —
-  zero-copy dispatch: IPC cost is a few hundred bytes per shard no
-  matter how large the instance payloads are.  Workers materialize each
-  dataset once per process (memo first, then the dataset cache on disk,
-  then a deterministic rebuild), slice locally, and batch the slice's
-  requests through the async dispatcher to the spec's backend
-  (backends are memoised per process, so replay stores and HTTP pools
-  survive across shards).  When no cache directory is configured the
-  spec falls back to carrying the instances inline, which is the old
-  behaviour;
-* :func:`build_dataset_remote` — construct one dataset in a worker so
-  the parent can overlap dataset construction across (task, workload)
-  pairs.  ``build_dataset`` is deterministic in its arguments, so the
-  copy shipped back is identical to what the parent would build.  With
-  a cache directory the worker also persists the dataset (and the
-  workload it loaded) so sibling workers materialize from disk instead
-  of rebuilding.
+* a :class:`ChunkSpec` — answer one chunk of one cell.  The chunk
+  carries its instances inline; :func:`evaluate_chunk` batches their
+  requests through the async dispatcher to the spec's backend (backends,
+  token buckets and breaker health are memoised per worker process, so
+  replay stores and HTTP pools survive across chunks);
+* a :class:`DatasetBuild` — build every missing dataset of one workload,
+  so the parent can overlap dataset construction across workloads.  A
+  worker loads each workload once for the pool's lifetime (later builds
+  over it reuse the loaded workload), and ``build_dataset`` is
+  deterministic in its arguments, so the datasets shipped back are
+  identical to what the parent would build.
 
-Everything crossing the boundary is plain picklable dataclasses, and
-every answer depends only on ``(model, task, instance_id)`` — which is
-why any materialization path yields byte-identical results.
+:func:`answer_chunk` is the one chunk protocol (render, dispatch,
+extract) shared by the queue workers and the engine's in-process loop.
+Everything crossing the process boundary is plain picklable dataclasses,
+and every answer depends only on ``(model, task, instance_id)`` — which
+is why any worker count yields byte-identical results.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence, Union
 
-from repro.engine.cache import ResultCache
 from repro.llm.backends import (
     DEFAULT_MAX_CONCURRENCY,
     SIMULATED_SPEC,
     AsyncDispatcher,
+    BackendError,
     BackendSpec,
     ModelBackend,
     create_backend,
@@ -46,61 +43,29 @@ from repro.llm.backends import (
 from repro.llm.backends.dispatch import BreakerState, BucketState, CircuitBreaker
 from repro.llm.profiles import ModelProfile
 from repro.prompts.templates import PromptTemplate
-from repro.sql.analysis_cache import ensure_capacity
 from repro.tasks.base import ModelAnswer, TaskDataset, TaskInstance
 from repro.tasks.registry import answers_from_responses, build_dataset, build_request
 from repro.workloads import load_workload
 from repro.workloads.base import Workload
 
-_WORKLOADS: dict[tuple[str, int], Workload] = {}
-_DATASETS: dict[tuple[str, str, int, Optional[int]], TaskDataset] = {}
 _BACKENDS: dict[tuple[BackendSpec, str], tuple[ModelProfile, ModelBackend]] = {}
-#: Token-bucket fill levels, shared across this process's shard batches
+#: Token-bucket fill levels, shared across this process's chunk batches
 #: so ``rps`` is a sustained per-process rate (aggregate rate across a
 #: pool is ~``workers x rps``; size --rps accordingly).
 _BUCKET_STATES: dict[tuple[BackendSpec, float], BucketState] = {}
 #: Circuit-breaker health per backend, shared across this process's
-#: shard batches: a backend that tripped during one shard stays tripped
+#: chunk batches: a backend that tripped during one chunk stays tripped
 #: for the next instead of re-earning a full retry ladder.
 _BREAKER_STATES: dict[BackendSpec, BreakerState] = {}
 
 
-def init_worker_process() -> None:
-    """Pool-worker initializer: leave interrupt handling to the parent.
-
-    Ctrl-C delivers SIGINT to the whole foreground process group; the
-    parent turns it into a graceful drain (journal flush + resume hint),
-    so workers must not race it with their own ``KeyboardInterrupt``
-    tracebacks — they ignore SIGINT and exit when the parent tears the
-    pool down.
-    """
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
 @dataclass(frozen=True)
-class ShardSpec:
-    """One contiguous slice of one cell, addressable anywhere.
-
-    ``instances`` is None in zero-copy mode (the worker materializes
-    the dataset from ``dataset_key`` under ``cache_root`` or rebuilds it
-    deterministically) and carries the actual slice in inline mode
-    (no cache directory configured).
-    """
+class ChunkSpec:
+    """One chunk of one cell: its instances and how to answer them."""
 
     profile: ModelProfile
     task: str
-    workload: str
-    index: int  # shard index, for merge ordering
-    start: int
-    stop: int
-    seed: int
-    max_instances: Optional[int]
-    dataset_key: Optional[str] = None
-    workload_cache_key: Optional[str] = None
-    cache_root: Optional[str] = None
-    instances: Optional[tuple[TaskInstance, ...]] = None
+    instances: tuple[TaskInstance, ...]
     prompt: Optional[PromptTemplate] = None
     backend: BackendSpec = SIMULATED_SPEC
     max_concurrency: int = DEFAULT_MAX_CONCURRENCY
@@ -108,14 +73,40 @@ class ShardSpec:
     #: Per-request wall-clock timeout (dispatcher ``asyncio.wait_for``).
     request_timeout: Optional[float] = None
     #: Wall-clock budget for this dispatch batch (the cell deadline,
-    #: granted per shard — worker clocks don't compare across processes).
+    #: granted per chunk — worker clocks don't compare across processes).
     deadline: Optional[float] = None
     #: Circuit-breaker trip threshold; 0 disables the breaker.
     breaker_threshold: int = 0
 
 
+@dataclass(frozen=True)
+class DatasetBuild:
+    """Every missing dataset of one workload, built in one worker call."""
+
+    workload: str
+    seed: int
+    tasks: tuple[str, ...]
+    max_instances: Optional[int]
+
+
+@dataclass(frozen=True)
+class ChunkTask:
+    """One unit of queue work, addressed by ``(cell, chunk)``.
+
+    ``fault`` is the test-only injection channel ("crash" hard-kills the
+    worker mid-chunk, "poison" raises inside the evaluation) — it rides
+    in the descriptor so a re-dispatched chunk is clean by construction
+    unless the test asked for a persistent fault.
+    """
+
+    cell: int
+    chunk: int
+    spec: Union[ChunkSpec, DatasetBuild]
+    fault: Optional[str] = None
+
+
 def _backend(spec: BackendSpec, profile: ModelProfile) -> ModelBackend:
-    """Per-process backend memo (replay stores, HTTP pools survive shards)."""
+    """Per-process backend memo (replay stores, HTTP pools survive chunks)."""
     memo_key = (spec, profile.name)
     cached = _BACKENDS.get(memo_key)
     if cached is None or cached[0] != profile:
@@ -123,62 +114,31 @@ def _backend(spec: BackendSpec, profile: ModelProfile) -> ModelBackend:
     return _BACKENDS[memo_key][1]
 
 
-def _workload(name: str, seed: int, cache: Optional[ResultCache], key: Optional[str]) -> Workload:
-    memo_key = (name, seed)
-    workload = _WORKLOADS.get(memo_key)
-    if workload is None:
-        if cache is not None and key is not None:
-            workload = cache.get_workload(key)
-        if workload is None:
-            workload = load_workload(name, seed)
-            if cache is not None and key is not None:
-                cache.put_workload(key, workload)
-        # Size this worker's analysis memo to the workload before the
-        # dataset builders start re-probing its texts: generation sizes
-        # the parent process, but a workload materialized from the disk
-        # cache skips generation, and a default-capacity LRU thrashes
-        # on million-instance workloads.
-        ensure_capacity(len(workload.queries))
-        _WORKLOADS[memo_key] = workload
-    return workload
+def answer_chunk(
+    dispatcher: AsyncDispatcher,
+    profile: ModelProfile,
+    task: str,
+    instances: Sequence[TaskInstance],
+    prompt: Optional[PromptTemplate],
+    deadline: Optional[float],
+) -> list[ModelAnswer]:
+    """Answer one chunk as one dispatch batch, in instance order."""
+    responses = dispatcher.run_sync(
+        [build_request(task, profile.name, instance, prompt) for instance in instances],
+        deadline_seconds=deadline,
+    )
+    return answers_from_responses(task, instances, responses, profile.name)
 
 
-def _materialize_dataset(spec: ShardSpec) -> TaskDataset:
-    """The shard's dataset: process memo -> disk cache -> rebuild."""
-    memo_key = (spec.task, spec.workload, spec.seed, spec.max_instances)
-    dataset = _DATASETS.get(memo_key)
-    if dataset is not None:
-        return dataset
-    cache = ResultCache(Path(spec.cache_root)) if spec.cache_root else None
-    if cache is not None and spec.dataset_key is not None:
-        dataset = cache.get_dataset(spec.dataset_key)
-    if dataset is None:
-        workload = _workload(spec.workload, spec.seed, cache, spec.workload_cache_key)
-        dataset = build_dataset(
-            spec.task, workload, seed=spec.seed, max_instances=spec.max_instances
-        )
-        if cache is not None and spec.dataset_key is not None:
-            cache.put_dataset(spec.dataset_key, dataset)
-    _DATASETS[memo_key] = dataset
-    return dataset
+def evaluate_chunk(spec: ChunkSpec) -> tuple[list[ModelAnswer], float]:
+    """Evaluate one chunk in a queue worker: ``(answers, seconds)``.
 
-
-def evaluate_shard(spec: ShardSpec) -> tuple[int, list[ModelAnswer], float]:
-    """Evaluate one shard; returns ``(shard_index, answers, seconds)``.
-
-    ``seconds`` is the shard's wall time inside the worker — the parent
-    aggregates these into real per-cell compute time for provenance
-    (parallel cells overlap, so the parent's own clock cannot attribute
-    time to cells).  Answers come back in instance order within the
-    shard, so merging by shard index reproduces the serial evaluation
-    exactly (each answer depends only on ``(model, task, instance_id)``).
+    ``seconds`` is the chunk's wall time inside the worker — the parent
+    sums these into per-cell compute time for provenance (chunks of
+    different cells overlap, so the parent's own clock cannot attribute
+    time to cells).
     """
     started = time.perf_counter()
-    if spec.instances is not None:
-        instances = list(spec.instances)
-    else:
-        instances = _materialize_dataset(spec).instances[spec.start : spec.stop]
-    backend = _backend(spec.backend, spec.profile)
     bucket_key = (spec.backend, spec.rps or 0.0)
     breaker = None
     if spec.breaker_threshold > 0:
@@ -188,7 +148,7 @@ def evaluate_shard(spec: ShardSpec) -> tuple[int, list[ModelAnswer], float]:
             backend_name=spec.backend.name,
         )
     dispatcher = AsyncDispatcher(
-        backend,
+        _backend(spec.backend, spec.profile),
         max_concurrency=spec.max_concurrency,
         rps=spec.rps,
         bucket_state=(
@@ -197,108 +157,64 @@ def evaluate_shard(spec: ShardSpec) -> tuple[int, list[ModelAnswer], float]:
         request_timeout=spec.request_timeout,
         breaker=breaker,
     )
-    responses = dispatcher.run_sync(
-        [
-            build_request(spec.task, spec.profile.name, instance, spec.prompt)
-            for instance in instances
-        ],
-        deadline_seconds=spec.deadline,
+    answers = answer_chunk(
+        dispatcher,
+        spec.profile,
+        spec.task,
+        list(spec.instances),
+        spec.prompt,
+        spec.deadline,
     )
     if spec.rps is not None and dispatcher.bucket_state is not None:
         _BUCKET_STATES[bucket_key] = dispatcher.bucket_state
-    answers = answers_from_responses(
-        spec.task, instances, responses, spec.profile.name
-    )
-    return spec.index, answers, time.perf_counter() - started
+    return answers, time.perf_counter() - started
 
 
-def build_dataset_remote(
-    task: str,
-    workload: str,
-    seed: int,
-    max_instances: Optional[int],
-    cache_root: Optional[str] = None,
-    dataset_key: Optional[str] = None,
-    workload_cache_key: Optional[str] = None,
-) -> TaskDataset:
-    """Build one dataset inside a worker (workloads memoised per process).
+def build_workload_datasets(
+    build: DatasetBuild, workloads: dict[tuple[str, int], Workload]
+) -> tuple[list[TaskDataset], float]:
+    """Build *all* of one workload's missing datasets: ``(datasets, seconds)``.
 
-    With a cache configured the built dataset (and the workload) are
-    persisted so sibling workers and later shard evaluation materialize
-    from disk instead of rebuilding.
-    """
-    cache = ResultCache(Path(cache_root)) if cache_root else None
-    workload_obj = _workload(workload, seed, cache, workload_cache_key)
-    dataset = build_dataset(
-        task, workload_obj, seed=seed, max_instances=max_instances
-    )
-    if cache is not None and dataset_key is not None:
-        cache.put_dataset(dataset_key, dataset)
-    _DATASETS[(task, workload, seed, max_instances)] = dataset
-    return dataset
-
-
-def build_workload_datasets_remote(
-    workload: str,
-    seed: int,
-    tasks: tuple[tuple[str, Optional[str]], ...],
-    max_instances: Optional[int],
-    cache_root: Optional[str] = None,
-    workload_cache_key: Optional[str] = None,
-) -> list[TaskDataset]:
-    """Build *all* of one workload's datasets in a single worker call.
-
-    ``tasks`` is ``((task, dataset_key | None), ...)``.  Grouping by
-    workload is what makes the parallel cold path scale: the workload is
-    loaded once, and the process-wide analysis cache is shared across
+    Grouping by workload is what makes parallel cold builds scale: the
+    workload is loaded once (``workloads`` keeps it for later builds in
+    this worker), and the process-wide analysis cache is shared across
     the workload's tasks (which reuse the same query texts), instead of
-    every worker independently re-loading and re-parsing the same
-    workload for one task each.
+    every worker re-loading and re-parsing it.
     """
-    return [
-        build_dataset_remote(
-            task,
-            workload,
-            seed,
-            max_instances,
-            cache_root,
-            dataset_key,
-            workload_cache_key,
+    started = time.perf_counter()
+    key = (build.workload, build.seed)
+    if key not in workloads:
+        workloads[key] = load_workload(build.workload, build.seed)
+    workload = workloads[key]
+    datasets = [
+        build_dataset(
+            task, workload, seed=build.seed, max_instances=build.max_instances
         )
-        for task, dataset_key in tasks
+        for task in build.tasks
     ]
-
-
-@dataclass(frozen=True)
-class ChunkTask:
-    """One chunk of a streamed cell, travelling through the work queue.
-
-    ``spec`` is an inline-instances :class:`ShardSpec` whose ``index``
-    is the chunk's position in the cell; ``fault`` is the test-only
-    injection channel ("crash" hard-kills the worker mid-chunk, "poison"
-    raises inside the evaluation) — it rides in the descriptor so a
-    re-dispatched chunk is clean by construction unless the test asked
-    for a persistent fault.
-    """
-
-    cell: int
-    chunk: int
-    spec: ShardSpec
-    fault: Optional[str] = None
+    return datasets, time.perf_counter() - started
 
 
 def stream_worker_main(task_queue, result_queue) -> None:
-    """Queue-worker loop: pull chunk descriptors until the None pill.
+    """Queue-worker loop: pull task descriptors until the None pill.
 
     Each result message is ``(kind, pid, cell, chunk, payload)`` with
-    kind ``ok`` (payload ``(answers, seconds)``) or ``error`` (payload
-    the formatted exception).  A crashed worker sends nothing — the
-    parent notices the dead process and re-dispatches its assignments.
-    """
-    import os
+    kind ``ok`` (payload ``(result, seconds)``) or ``error``.  An error
+    payload is the exception itself for a :class:`BackendError` — the
+    parent re-raises it, so a cell's recorded error class does not
+    depend on where it ran — and the formatted exception otherwise.  A
+    crashed worker sends nothing: the parent notices the dead process
+    and re-dispatches its assignments.
 
-    init_worker_process()
+    Ctrl-C delivers SIGINT to the whole foreground process group; the
+    parent turns it into a graceful drain (journal flush + resume hint),
+    so workers ignore it rather than race the parent with their own
+    ``KeyboardInterrupt`` tracebacks, and exit when the parent tears the
+    pool down.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     pid = os.getpid()
+    workloads: dict[tuple[str, int], Workload] = {}
     while True:
         item = task_queue.get()
         if item is None:
@@ -308,8 +224,13 @@ def stream_worker_main(task_queue, result_queue) -> None:
                 os._exit(43)
             if item.fault == "poison":
                 raise RuntimeError("injected poison fault")
-            _, answers, seconds = evaluate_shard(item.spec)
-            result_queue.put(("ok", pid, item.cell, item.chunk, (answers, seconds)))
+            if isinstance(item.spec, DatasetBuild):
+                payload = build_workload_datasets(item.spec, workloads)
+            else:
+                payload = evaluate_chunk(item.spec)
+            result_queue.put(("ok", pid, item.cell, item.chunk, payload))
+        except BackendError as error:
+            result_queue.put(("error", pid, item.cell, item.chunk, error))
         except Exception as error:  # noqa: BLE001 - reported to the parent
             result_queue.put(
                 (
@@ -320,12 +241,3 @@ def stream_worker_main(task_queue, result_queue) -> None:
                     f"{type(error).__name__}: {error}",
                 )
             )
-
-
-def reset_worker_caches() -> None:
-    """Drop the process-global caches (test isolation hook)."""
-    _WORKLOADS.clear()
-    _DATASETS.clear()
-    _BACKENDS.clear()
-    _BUCKET_STATES.clear()
-    _BREAKER_STATES.clear()

@@ -1,7 +1,7 @@
 """Experiment runner: models x workloads x tasks.
 
 ``ExperimentRunner`` is the façade every artifact goes through.  It
-delegates dataset construction, sharded (optionally multi-process)
+delegates dataset construction, chunked (optionally multi-process)
 evaluation and result caching to :class:`repro.engine.ExperimentEngine`,
 runs every model over every instance through the real
 prompt/response/extraction path, and exposes the evaluated grids the
@@ -63,8 +63,9 @@ class CellResult:
 class ExperimentRunner:
     """Evaluates models over cached workloads/datasets via the engine.
 
-    ``workers=1`` (the default) evaluates in-process; ``workers>1`` fans
-    instance shards across a process pool with byte-identical results.
+    ``workers=1`` (the default) evaluates in-process; ``workers>1`` runs
+    instance chunks on a work queue of processes with byte-identical
+    results.
     Passing ``cache_dir`` persists evaluated cells on disk so repeated
     runs with unchanged inputs skip recomputation entirely.
     """
@@ -75,7 +76,6 @@ class ExperimentRunner:
         models: tuple[ModelProfile, ...] = MODEL_PROFILES,
         max_instances: Optional[int] = None,
         workers: int = 1,
-        shard_size: Optional[int] = None,
         cache_dir: Optional[Path] = None,
         backend: BackendSpec = SIMULATED_SPEC,
         max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
@@ -99,7 +99,6 @@ class ExperimentRunner:
             request_timeout=request_timeout,
             cell_deadline=cell_deadline,
             breaker_threshold=breaker_threshold,
-            **({"shard_size": shard_size} if shard_size is not None else {}),
         )
         self.engine = ExperimentEngine(config, models=models)
 

@@ -54,7 +54,6 @@ class RunRequest:
     strata: Optional[str] = None
     seed: int = 0
     workers: int = 1
-    shard_size: Optional[int] = None
     chunk_size: Optional[int] = None
     cache_dir: Path = DEFAULT_CACHE_DIR
     no_cache: bool = False
@@ -87,7 +86,6 @@ _PAYLOAD_KEYS = frozenset(
         "strata",
         "seed",
         "workers",
-        "shard_size",
         "chunk_size",
         "max_instances",
         "backend",
@@ -169,7 +167,6 @@ def request_from_payload(
         strata=payload.get("strata"),
         seed=_int("seed") or 0,
         workers=_int("workers") or 1,
-        shard_size=_int("shard_size"),
         chunk_size=_int("chunk_size"),
         cache_dir=cache_dir,
         runs_dir=runs_dir,
@@ -199,7 +196,6 @@ def request_from_args(args) -> RunRequest:
         strata=args.strata,
         seed=args.seed,
         workers=args.workers,
-        shard_size=args.shard_size,
         chunk_size=args.chunk_size,
         cache_dir=args.cache_dir,
         no_cache=args.no_cache,
@@ -241,9 +237,9 @@ class PreparedRun:
     def config(self) -> dict:
         """The journal manifest config — everything a resume needs.
 
-        The key set is shared with every journal written since PR 8;
         ``--resume`` and the service resume path both read it back
-        through :func:`prepare_resume`.
+        through :func:`prepare_resume`, which ignores keys it no longer
+        uses (older journals carry a key for the retired shard plan).
         """
         request = self.request
         return {
@@ -251,7 +247,6 @@ class PreparedRun:
             "workload": self.workload_name,
             "seed": request.seed,
             "workers": request.workers,
-            "shard_size": request.shard_size,
             "chunk_size": self.chunk_size,
             "cache_dir": None if request.no_cache else str(request.cache_dir),
             "max_instances": request.max_instances,
@@ -287,7 +282,11 @@ def prepare_run(request: RunRequest) -> PreparedRun:
     Raises :class:`RunRequestError` with exactly the message the CLI
     has always printed for the equivalent flag mistake.
     """
-    from repro.experiments.registry import ARTIFACT_IDS, EXPERIMENTS
+    from repro.experiments.registry import (
+        ARTIFACT_IDS,
+        EXPERIMENTS,
+        PER_INSTANCE_ARTIFACTS,
+    )
     from repro.llm.backends import backend_names, spec_from_cli
 
     wanted = list(request.artifacts)
@@ -340,10 +339,6 @@ def prepare_run(request: RunRequest) -> PreparedRun:
         raise RunRequestError(
             f"--workers must be >= 1, got {request.workers}"
         )
-    if request.shard_size is not None and request.shard_size < 1:
-        raise RunRequestError(
-            f"--shard-size must be >= 1, got {request.shard_size}"
-        )
     if request.max_concurrency is not None and request.max_concurrency < 1:
         raise RunRequestError(
             f"--max-concurrency must be >= 1, got {request.max_concurrency}"
@@ -371,6 +366,12 @@ def prepare_run(request: RunRequest) -> PreparedRun:
             f"--breaker-threshold must be >= 0, got {request.breaker_threshold}"
         )
     chunk_size = resolve_chunk_size(request.chunk_size, workload_name)
+    per_instance = [a for a in wanted if a in PER_INSTANCE_ARTIFACTS]
+    if chunk_size is not None and workload_name is None and per_instance:
+        raise RunRequestError(
+            f"{', '.join(per_instance)} read per-instance answers, which "
+            "--chunk-size does not keep; run them without --chunk-size"
+        )
     try:
         backend_spec = spec_from_cli(
             request.backend,
@@ -483,7 +484,6 @@ def prepare_resume(
         workload=cfg.get("workload"),
         seed=cfg.get("seed", 0),
         workers=cfg.get("workers", 1),
-        shard_size=cfg.get("shard_size"),
         chunk_size=cfg.get("chunk_size"),
         cache_dir=(
             Path(cache_dir) if cache_dir is not None else DEFAULT_CACHE_DIR
@@ -580,7 +580,6 @@ def execute_prepared(
     runner = ExperimentRunner(
         seed=request.seed,
         workers=request.workers,
-        shard_size=request.shard_size,
         cache_dir=prepared.cache_dir,
         max_instances=request.max_instances,
         backend=prepared.backend_spec,
@@ -820,8 +819,7 @@ def workload_grid_text(runner, task: str, workload_name: str) -> str:
     return render_table(rows, f"{task} metrics on {workload_name}")
 
 
-def regenerate_report(stored, *, cache_dir, out_dir, workers: int = 1,
-                      shard_size=None):
+def regenerate_report(stored, *, cache_dir, out_dir, workers: int = 1):
     """Rebuild the report bundle for a stored :class:`RunRecord`.
 
     Re-reads every recorded task's grid through the engine cache, via
@@ -844,7 +842,6 @@ def regenerate_report(stored, *, cache_dir, out_dir, workers: int = 1,
     runner = ExperimentRunner(
         seed=stored.seed,
         workers=workers,
-        shard_size=shard_size,
         max_instances=stored.max_instances,
         cache_dir=cache_dir,
         backend=BackendSpec.build(stored.backend, backend_options),

@@ -3,7 +3,7 @@ section 4.5 case study).
 
 Every function takes an :class:`~repro.evalfw.runner.ExperimentRunner`
 (so datasets/workloads are shared and cached, and grid evaluation goes
-through the runner's :class:`~repro.engine.ExperimentEngine` — sharded
+through the runner's :class:`~repro.engine.ExperimentEngine` — chunked
 across worker processes and served from the on-disk result cache when
 the runner is configured that way) and returns an
 :class:`ExperimentResult` whose ``text`` prints the same rows/series the

@@ -3,7 +3,7 @@
 Every experiment function takes an :class:`ExperimentRunner`, so the
 whole paper grid inherits the runner's engine configuration — pass a
 runner built with ``workers=N`` / ``cache_dir=...`` and all
-tables/figures evaluate through the parallel sharded engine and its
+tables/figures evaluate through the parallel chunked engine and its
 result cache.
 """
 
@@ -43,6 +43,13 @@ EXPERIMENTS: dict[str, tuple[str, Callable[[ExperimentRunner], ExperimentResult]
 }
 
 ARTIFACT_IDS: tuple[str, ...] = tuple(EXPERIMENTS)
+
+#: Artifacts that read every cell's (instance, answer) pairs.  A
+#: streamed cell (``--chunk-size``) keeps only metric counts, so these
+#: run on the materialised path only.
+PER_INSTANCE_ARTIFACTS: frozenset[str] = frozenset(
+    {"fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "case45"}
+)
 
 
 def run_experiment(

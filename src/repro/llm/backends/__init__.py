@@ -2,7 +2,7 @@
 
 See :mod:`repro.llm.backends.base` for the protocol and
 :mod:`repro.llm.backends.dispatch` for the request funnel every engine
-shard goes through.
+chunk goes through.
 """
 
 from repro.llm.backends.base import (

@@ -18,7 +18,7 @@ Concrete backends live next to this module:
 
 A backend is *addressed* by a :class:`BackendSpec` — a frozen,
 picklable ``(name, options)`` pair that crosses process boundaries in
-the sharded engine and whose :meth:`~BackendSpec.fingerprint` is folded
+the engine's work queue and whose :meth:`~BackendSpec.fingerprint` is folded
 into every cell cache key, so a cell cached under one backend (or one
 endpoint) is never served to another.
 """

@@ -1,11 +1,11 @@
 """Async batched dispatcher: the one funnel every model call goes through.
 
-The engine hands a whole shard of :class:`ModelRequest`\\ s to
+The engine hands a whole chunk of :class:`ModelRequest`\\ s to
 :class:`AsyncDispatcher`, which keeps up to ``max_concurrency`` of them
 in flight, throttles issue rate through a token bucket (``rps``), and
 retries transient failures with exponential backoff plus deterministic
 jitter.  Results come back in request order regardless of completion
-order, so sharded evaluation stays byte-identical to the serial path.
+order, so chunked evaluation stays byte-identical to the serial path.
 
 Determinism: the jitter RNG is seeded from each request's id, and
 backends themselves are deterministic (the simulator) or replayed from
@@ -63,9 +63,9 @@ class BucketState:
 
     Split out from :class:`TokenBucket` so the *state* can outlive any
     one dispatcher/event loop: asyncio primitives must be recreated per
-    loop, but carrying the fill level across per-shard dispatch batches
+    loop, but carrying the fill level across per-chunk dispatch batches
     is what makes ``rps`` a sustained per-process rate instead of a
-    fresh burst for every shard.
+    fresh burst for every chunk.
 
     Refill-and-take is atomic under a process-wide (threading) lock:
     concurrent jobs — each with its own dispatcher, event loop and
@@ -173,8 +173,8 @@ class BreakerState:
     Mirrors :class:`BucketState`: asyncio-free plain data, so the same
     breaker memory outlives any one dispatcher/event loop.  The engine
     threads one ``BreakerState`` per backend through successive
-    per-shard dispatch batches — a backend that died during shard 3
-    stays tripped for shard 4 instead of re-earning a fresh retry
+    per-chunk dispatch batches — a backend that died during chunk 3
+    stays tripped for chunk 4 instead of re-earning a fresh retry
     ladder.
     """
 
@@ -483,7 +483,7 @@ class AsyncDispatcher:
                 state=self.bucket_state,
             )
             # Persist the fill level across run() calls (and across the
-            # per-shard dispatchers the engine workers create), so the
+            # per-chunk dispatchers the engine workers create), so the
             # burst allowance is not replenished by mere re-batching.
             self.bucket_state = bucket.state
 
@@ -518,7 +518,7 @@ def dispatch_requests(
 ) -> list[LLMResponse]:
     """One-shot convenience wrapper (tests, scripts, ad-hoc batches).
 
-    The engine's shard paths construct :class:`AsyncDispatcher`
+    The engine's chunk loops construct :class:`AsyncDispatcher`
     directly instead, because they thread a persistent
     :class:`BucketState` through successive batches — this wrapper
     starts every call with a fresh burst.

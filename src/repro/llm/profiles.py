@@ -80,8 +80,8 @@ class ExplanationStyle:
 class ModelProfile:
     """Full behaviour profile of one simulated model.
 
-    Profiles are picklable (they cross process boundaries in the sharded
-    engine) and hashable by content fingerprint, so a tweaked copy made
+    Profiles are picklable (they cross process boundaries in the
+    engine's work queue) and hashable by content fingerprint, so a tweaked copy made
     with ``dataclasses.replace`` never aliases a cached result.
     """
 

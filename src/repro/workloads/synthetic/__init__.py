@@ -11,7 +11,7 @@ Synthetic workloads are addressed by *spec* strings —
 ``synthetic:default``, ``synthetic:joins:n=1000``,
 ``synthetic:default:strata=join2+nest3`` — resolved through
 ``repro.workloads.load_workload`` like any other workload name, so the
-whole stack (task builders, sharded engine, caches, reporting, CLI)
+whole stack (task builders, chunked engine, caches, reporting, CLI)
 consumes them unchanged.  See ``docs/WORKLOADS.md``.
 """
 

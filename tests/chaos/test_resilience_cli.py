@@ -11,6 +11,8 @@ with a named error.  No partial cache writes, no silently wrong rows.
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 from repro.cli import main
 from repro.lifecycle import EXIT_INTERRUPTED, RunJournal
@@ -145,6 +147,87 @@ class TestInterruptAndResume:
         assert "--no-record" in capsys.readouterr().err
 
 
+class TestResumeOlderJournal:
+    def test_journal_carrying_shard_size_resumes_byte_identical(
+        self, tmp_path, monkeypatch
+    ):
+        """A journal written while the shard plan still existed: its
+        manifest carries ``shard_size``, which resume ignores."""
+        fixture = Path(__file__).parents[1] / "fixtures" / "journals"
+        shutil.copytree(fixture, tmp_path / "runs")
+        (manifest,) = (tmp_path / "runs").glob("*/journal/manifest.json")
+        assert json.loads(manifest.read_text())["config"]["shard_size"] == 16
+        run_id = manifest.parent.parent.name
+        monkeypatch.chdir(tmp_path)  # the manifest's cache_dir is relative
+        assert main(["run", "--resume", run_id, "--runs-dir", "runs"]) == 0
+        clean = tmp_path / "clean"
+        assert (
+            main(
+                [
+                    "run",
+                    "table6",
+                    "--max-instances",
+                    "40",
+                    "--cache-dir",
+                    str(clean / "cache"),
+                    "--runs-dir",
+                    str(clean / "runs"),
+                ]
+            )
+            == 0
+        )
+        reference = metrics_of(clean)
+        assert metrics_of(tmp_path) == reference
+        journal = RunJournal.load(tmp_path / "runs", run_id)
+        assert journal.states() == {"committed": len(reference)}
+
+
+class TestSameFailuresAtEveryWorkerSetting:
+    def test_degraded_cells_keep_their_error_class(self, tmp_path, capsys):
+        """The worker ships a backend failure back as itself, so the
+        queue records what the in-process loop records.  Every faulty
+        request id here belongs to join_order, so its five cells
+        degrade (retry backoff makes each cost about a second)."""
+        outcomes = []
+        for label, extra in (
+            ("workers1", ("--workers", "1")),
+            ("workers2", ("--workers", "2")),
+            ("chunked", ("--workers", "2", "--chunk-size", "8")),
+        ):
+            base = tmp_path / label
+            code = main(
+                [
+                    "run",
+                    "table3",
+                    "--max-instances",
+                    "4",
+                    "--chaos",
+                    "flaky:rate=0.2:kind=500:fail_attempts=9",
+                    "--on-cell-error",
+                    "degrade",
+                    "--cache-dir",
+                    str(base / "cache"),
+                    "--runs-dir",
+                    str(base / "runs"),
+                    *extra,
+                ]
+            )
+            assert code == 0
+            record = RunRecordStore(base / "runs").latest()
+            failures = sorted(
+                (f.model, f.task, f.workload, f.error_class)
+                for f in record.failures
+            )
+            outcomes.append(
+                (capsys.readouterr().out, failures, metrics_of(base))
+            )
+        _, failures, committed = outcomes[0]
+        assert len(failures) == 5 and len(committed) == 10
+        assert {f[3] for f in failures} == {"TransientBackendError"}
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
+
+
 class TestFlakyRecovery:
     def test_flaky_run_recovers_to_identical_metrics(self, tmp_path):
         clean_dir = tmp_path / "clean"
@@ -221,6 +304,28 @@ class TestKillWorker:
         assert metrics_of(chaos_dir) == metrics_of(clean_dir)
         record = RunRecordStore(chaos_dir / "runs").latest()
         assert record.stream_stats.get("redispatched", 0) >= 1
+
+    def test_kill_worker_reaches_the_materialised_pool(self, tmp_path):
+        def run_table6(base, *extra):
+            return main(
+                [
+                    "run",
+                    "table6",
+                    "--workers",
+                    "2",
+                    "--cache-dir",
+                    str(base / "cache"),
+                    "--runs-dir",
+                    str(base / "runs"),
+                    *extra,
+                ]
+            )
+
+        assert run_table6(tmp_path / "clean") == 0
+        assert run_table6(tmp_path / "chaos", "--chaos", "kill-worker:chunk=1") == 0
+        assert metrics_of(tmp_path / "chaos") == metrics_of(tmp_path / "clean")
+        record = RunRecordStore(tmp_path / "chaos" / "runs").latest()
+        assert record.stream_stats["redispatched"] >= 1
 
     def test_persistent_poison_surfaces_named_error(self, tmp_path, capsys):
         code = run(

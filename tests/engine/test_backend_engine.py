@@ -110,7 +110,7 @@ class TestReplayGrid:
             serial = engine.run_task(TASK)
         replay_spec = BackendSpec.build("replay", {"dir": str(fixtures)})
         with _engine(
-            tmp_path / "parallel", backend=replay_spec, workers=2, shard_size=8
+            tmp_path / "parallel", backend=replay_spec, workers=2
         ) as engine:
             parallel = engine.run_task(TASK)
         for key, cell in serial.items():

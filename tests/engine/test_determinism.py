@@ -17,6 +17,8 @@ from repro.prompts.templates import PromptTemplate
 
 SEED = 7
 CAP = 30
+#: Enough instances that every cell spans several 64-instance chunks.
+WIDE_CAP = 150
 
 
 def _metrics(cell):
@@ -24,42 +26,49 @@ def _metrics(cell):
 
 
 class TestParallelEqualsSerial:
+    """Worker counts 1 and 2 over cells that span several chunks."""
+
     def test_run_cell_identical_across_worker_counts(self):
-        serial = ExperimentRunner(seed=SEED, max_instances=CAP)
-        parallel = ExperimentRunner(
-            seed=SEED, max_instances=CAP, workers=2, shard_size=7
-        )
+        serial = ExperimentRunner(seed=SEED, max_instances=WIDE_CAP)
+        parallel = ExperimentRunner(seed=SEED, max_instances=WIDE_CAP, workers=2)
         try:
             a = serial.run_cell("gpt4", "syntax_error", "sdss")
             b = parallel.run_cell("gpt4", "syntax_error", "sdss")
         finally:
             parallel.close()
+        assert len(a.answers) == WIDE_CAP
         assert a.answers == b.answers
         assert _metrics(a) == _metrics(b)
 
     def test_run_task_grid_identical_across_worker_counts(self):
-        serial = ExperimentRunner(seed=SEED, max_instances=CAP)
-        parallel = ExperimentRunner(
-            seed=SEED, max_instances=CAP, workers=2, shard_size=11
-        )
+        serial = ExperimentRunner(seed=SEED, max_instances=WIDE_CAP)
+        parallel = ExperimentRunner(seed=SEED, max_instances=WIDE_CAP, workers=2)
         try:
             grid_a = serial.run_task("performance_pred")
             grid_b = parallel.run_task("performance_pred")
         finally:
             parallel.close()
-        assert grid_a.keys() == grid_b.keys()
+        assert list(grid_a) == list(grid_b)
         for key in grid_a:
             assert grid_a[key].answers == grid_b[key].answers
         assert metrics_table(grid_a, "binary") == metrics_table(grid_b, "binary")
 
-    def test_odd_shard_sizes_do_not_change_results(self):
-        cells = []
-        for shard_size in (1, 3, 1000):
-            runner = ExperimentRunner(
-                seed=SEED, max_instances=13, shard_size=shard_size
-            )
-            cells.append(runner.run_cell("gemini", "miss_token", "sqlshare"))
-        assert cells[0].answers == cells[1].answers == cells[2].answers
+    def test_uncapped_multi_workload_grid_identical_across_worker_counts(self):
+        """Whole datasets (up to a few hundred instances) and a chunk
+        remainder in every cell; workers also build the datasets."""
+        models = (GPT4, GEMINI)
+        serial = ExperimentRunner(seed=SEED, models=models)
+        parallel = ExperimentRunner(seed=SEED, models=models, workers=2)
+        try:
+            grid_a = serial.run_task("miss_token")
+            grid_b = parallel.run_task("miss_token")
+        finally:
+            parallel.close()
+        assert list(grid_a) == list(grid_b)
+        assert any(len(cell.answers) > 3 * 64 for cell in grid_a.values())
+        for key in grid_a:
+            assert grid_a[key].answers == grid_b[key].answers
+            assert _metrics(grid_a[key]) == _metrics(grid_b[key])
 
 
 class TestCacheServedRuns:
@@ -92,7 +101,7 @@ class TestCacheServedRuns:
         assert _metrics(second) == _metrics(first)
 
     def test_cache_shared_between_serial_and_parallel(self, tmp_path):
-        parallel = self._engine(tmp_path, workers=2, shard_size=9)
+        parallel = self._engine(tmp_path, workers=2)
         try:
             first = parallel.run_cell("gemini", "syntax_error", "sdss")
         finally:
@@ -195,10 +204,6 @@ class TestEngineConfig:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             EngineConfig(workers=0)
-
-    def test_rejects_zero_shard_size(self):
-        with pytest.raises(ValueError):
-            EngineConfig(shard_size=0)
 
     def test_unknown_model_raises(self):
         engine = ExperimentEngine(EngineConfig(), models=(GPT4,))

@@ -104,6 +104,10 @@ class TestLifecycle:
             with pytest.raises(ServiceError) as excinfo:
                 client.submit({**GRID, "mystery": 1})
             assert excinfo.value.status == 400
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit({**GRID, "shard_size": 8})
+            assert excinfo.value.status == 400
+            assert "shard_size" in str(excinfo.value)
             assert client.jobs() == []
 
     def test_unknown_job_404(self, tmp_path):

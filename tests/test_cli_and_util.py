@@ -71,26 +71,22 @@ class TestCli:
         assert main(["run", "table99"]) == 2
         assert "unknown artifacts" in capsys.readouterr().err
 
-    def test_run_accepts_shard_size(self, tmp_path, capsys):
-        assert main(
-            [
-                "run", "table1", "--shard-size", "7", "--no-record",
-                "--no-cache",
-            ]
-        ) == 0
-        assert "Recognition" in capsys.readouterr().out
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_retired_shard_size_flag_is_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--shard-size", "7"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --shard-size" in capsys.readouterr().err
 
-    def test_run_rejects_bad_shard_size(self, capsys):
-        assert main(["run", "table1", "--shard-size", "0"]) == 2
-        assert "--shard-size" in capsys.readouterr().err
+    def test_retired_shard_size_payload_key_is_rejected(self, tmp_path):
+        from repro.execution import RunRequestError, request_from_payload
 
-    def test_report_rejects_bad_shard_size(self, tmp_path, capsys):
-        assert main(
-            [
-                "report", "--shard-size", "-1",
-                "--runs-dir", str(tmp_path / "none"),
-            ]
-        ) == 2
+        with pytest.raises(RunRequestError, match="unknown run request keys: shard_size"):
+            request_from_payload(
+                {"artifacts": ["table1"], "shard_size": 8},
+                cache_dir=tmp_path,
+                runs_dir=tmp_path,
+            )
 
     def test_bench_rejects_bad_workers(self, capsys):
         assert main(["bench", "--workers", "0"]) == 2
