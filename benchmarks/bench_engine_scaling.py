@@ -343,7 +343,7 @@ def stream_point(
     return {
         "n": n,
         "instances": result.instance_count,
-        "chunks": result.chunk_count,
+        "chunks": stats["chunks"] if stats else None,
         "seconds": round(seconds, 3),
         "instances_per_s": round(result.instance_count / seconds, 1)
         if seconds

@@ -255,18 +255,14 @@ def corrupt_cache_segment(cache_dir: Path, seed: int = 0) -> Optional[Path]:
     """Flip bytes in one committed segment file (seeded choice).
 
     Returns the corrupted path, or None when the cache holds no cell
-    files yet (nothing to corrupt — e.g. a cold first run).  Targets
-    both cell layouts: single-file cells (``cells/xy/<key>.json``,
-    materialised path) and chunk segments
-    (``cells/xy/<key>/seg-*.json``, streaming path).  The engine must
-    respond with a cache miss or a loud
-    :class:`~repro.engine.cache.CacheSegmentError` → clean recompute,
-    never by serving wrong bytes.
+    segments yet (nothing to corrupt — e.g. a cold first run).  Cells of
+    both data paths are stored as segments
+    (``cells/xy/<key>/seg-*.json``).  The engine must respond with a
+    cache miss or a loud :class:`~repro.engine.cache.CacheSegmentError`
+    → clean recompute, never by serving wrong bytes.
     """
     root = Path(cache_dir)
-    segments = sorted(
-        [*root.glob("cells/*/*.json"), *root.glob("cells/*/*/seg-*.json")]
-    )
+    segments = sorted(root.glob("cells/*/*/seg-*.json"))
     if not segments:
         return None
     target = Random(f"chaos-corrupt:{seed}").choice(segments)

@@ -1,23 +1,26 @@
-"""Content-addressed on-disk cache for evaluated cells and datasets.
+"""Content-addressed on-disk cache for evaluated cells, datasets and workloads.
 
-Three namespaces under one cache root:
+Every entry has one format: a directory named after its key, holding
+numbered segments (``seg-00000``, ``seg-00001``, ...) and a
+``manifest.json`` that lists each segment's length.  The manifest is
+written last and is the entry's commit point.  Three namespaces share
+that format under one cache root:
 
-* ``cells/`` — each (model, task, workload) cell's answers, stored as
-  JSON under a key that hashes everything the answers depend on: the
-  generation seed, the model profile fingerprint, the task, the
-  workload, ``max_instances``, the prompt template, and a cache format
-  version;
-* ``datasets/`` — each built :class:`TaskDataset`, pickled under a key
-  hashing (task, workload, seed, max_instances).  Dataset construction
-  (parsing, corruption injection, pair generation) dominates a cold
-  grid run, so warm runs load instead of rebuilding.  The streamed
-  path stores datasets as segments (``datasets/<key>/``) it can
-  re-chunk without holding a whole dataset;
-* ``workloads/`` — the streamed path spills a workload's query stream
-  as segments (``workloads/<key>/``), so each later pass replays it
-  instead of running the generator again.  The monolithic pickled
-  :class:`Workload` format (``get_workload``/``put_workload``) is
-  kept for readers of existing cache directories.
+* ``cells/<key[:2]>/<key>/`` — one (model, task, workload) cell's
+  answers as JSON segments, under a key that hashes everything the
+  answers depend on: the generation seed, the model profile fingerprint,
+  the task, the workload, ``max_instances``, the prompt template, the
+  backend, and the cache format version.  A materialised cell is stored
+  as one segment, a streamed cell as one segment per chunk;
+* ``datasets/<key>/`` — each built :class:`TaskDataset`'s instances as
+  pickled segments, under a key hashing (task, workload, seed,
+  max_instances).  Dataset construction (parsing, corruption injection,
+  pair generation) dominates a cold grid run, so warm runs load instead
+  of rebuilding, and the streamed path re-chunks the segments without
+  holding a whole dataset;
+* ``workloads/<key>/`` — the streamed path's spill of a workload's query
+  stream, so each later pass replays it instead of running the
+  generator again.
 
 Change any input and the key changes, so stale entries are never served
 — they are simply never looked up again.  Every write goes through
@@ -33,8 +36,9 @@ import hashlib
 import json
 import pickle
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro.lifecycle.atomic import write_atomic
 from repro.llm.backends.base import SIMULATED_SPEC, BackendSpec
@@ -42,14 +46,15 @@ from repro.llm.profiles import ModelProfile
 from repro.prompts.templates import PromptTemplate, prompt_for
 from repro.tasks.base import ModelAnswer, TaskDataset
 
-#: Bump when the serialized answer format changes; old entries miss.
-CACHE_VERSION = 1
+#: Bump when the entry layout or the serialized answer format changes;
+#: old entries miss.  Manifests carry it, so each names its layout.
+CACHE_VERSION = 2
 
 
 class CacheSegmentError(Exception):
-    """A segmented cache entry is unreadable or inconsistent mid-stream.
+    """A cache entry is unreadable or inconsistent mid-stream.
 
-    Raised by the segment iterators (not the monolithic getters, which
+    Raised by the segment iterators (not the whole-entry getters, which
     translate problems into misses) because a streamed read may already
     have handed out earlier segments when the problem surfaces; the
     streaming engine catches this and falls back to a clean recompute.
@@ -180,12 +185,7 @@ def dataset_key(
 
 
 def workload_key(workload: str, seed: int) -> str:
-    """Content address of one loaded workload (task independent).
-
-    Workload construction costs a sizable fraction of a cold run and
-    used to be repeated inside *every* worker process; pickling it once
-    lets workers load in milliseconds instead.
-    """
+    """Content address of one workload's spilled query stream (task independent)."""
     payload = json.dumps(
         {
             "version": CACHE_VERSION,
@@ -245,9 +245,14 @@ class CacheStats:
         }
 
 
+#: The three namespaces under a cache root; each name is also the
+#: ``kind`` its manifests carry.
+_NAMESPACES = ("cells", "datasets", "workloads")
+
+
 @dataclass
 class ResultCache:
-    """On-disk cell + dataset cache rooted at ``root``."""
+    """On-disk cell, dataset and workload cache rooted at ``root``."""
 
     root: Path
     stats: CacheStats = field(default_factory=CacheStats)
@@ -255,178 +260,35 @@ class ResultCache:
     def __post_init__(self) -> None:
         self.root = Path(self.root)
 
-    def _path(self, key: str) -> Path:
-        return self.root / "cells" / key[:2] / f"{key}.json"
-
-    def _dataset_path(self, key: str) -> Path:
-        return self.root / "datasets" / f"{key}.pkl"
-
-    def _workload_path(self, key: str) -> Path:
-        return self.root / "workloads" / f"{key}.pkl"
-
-    def get(
-        self, key: str, expected_ids: Optional[Sequence[str]] = None
-    ) -> Optional[list[ModelAnswer]]:
-        """Cached answers for ``key``, or None on miss.
-
-        Unreadable or version-mismatched entries count as misses, as do
-        entries whose answers do not align id-for-id with
-        ``expected_ids`` — the cache is an optimisation, never a source
-        of errors or misaligned metrics.
-        """
-        path = self._path(key)
-        try:
-            payload = json.loads(path.read_text())
-            if payload.get("version") != CACHE_VERSION:
-                raise ValueError("cache version mismatch")
-            answers = [answer_from_dict(item) for item in payload["answers"]]
-        except (OSError, ValueError, KeyError, TypeError):
-            # Warm-path reassembly: a cell written by a streaming run
-            # lives as segments; materialised readers stitch them back.
-            answers = self._reassemble_cell(key)
-            if answers is None:
-                self.stats.misses += 1
-                return None
-        if expected_ids is not None and [
-            answer.instance_id for answer in answers
-        ] != list(expected_ids):
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return answers
-
-    def _reassemble_cell(self, key: str) -> Optional[list[ModelAnswer]]:
-        if self.get_cell_manifest(key) is None:
-            return None
-        answers: list[ModelAnswer] = []
-        try:
-            for segment in self.iter_cell_segments(key):
-                answers.extend(segment)
-        except CacheSegmentError:
-            return None
-        return answers
-
-    def put(
-        self, key: str, answers: list[ModelAnswer], meta: Optional[dict] = None
-    ) -> Path:
-        """Store a cell's answers atomically; returns the entry path."""
-        payload = {
-            "version": CACHE_VERSION,
-            "meta": meta or {},
-            "answers": [answer_to_dict(answer) for answer in answers],
-        }
-        path = write_atomic(self._path(key), json.dumps(payload))
-        self.stats.writes += 1
-        return path
-
-    # -- datasets ----------------------------------------------------------
-
-    def get_dataset(self, key: str) -> Optional[TaskDataset]:
-        """Cached dataset for ``key``, or None (corrupt entries miss)."""
-        path = self._dataset_path(key)
-        try:
-            with path.open("rb") as handle:
-                dataset = pickle.load(handle)
-            if not isinstance(dataset, TaskDataset):
-                raise ValueError("not a TaskDataset")
-        except (OSError, ValueError, pickle.UnpicklingError, EOFError,
-                AttributeError, ImportError, IndexError):
-            # Warm-path reassembly from a streaming run's segments.
-            dataset = self._reassemble_dataset(key)
-            if dataset is None:
-                self.stats.dataset_misses += 1
-                return None
-        self.stats.dataset_hits += 1
-        return dataset
-
-    def _reassemble_dataset(self, key: str) -> Optional[TaskDataset]:
-        manifest = self.get_dataset_manifest(key)
-        if manifest is None:
-            return None
-        meta = manifest.get("meta", {})
-        task = meta.get("task")
-        workload = meta.get("workload")
-        if not task or not workload:
-            return None
-        dataset = TaskDataset(task=task, workload=workload)
-        try:
-            for segment in self.iter_dataset_segments(key):
-                dataset.instances.extend(segment)
-        except CacheSegmentError:
-            return None
-        return dataset
-
-    def put_dataset(self, key: str, dataset: TaskDataset) -> Path:
-        """Store a built dataset atomically; returns the entry path."""
-        return write_atomic(
-            self._dataset_path(key),
-            pickle.dumps(dataset, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-
-    # -- workloads ---------------------------------------------------------
-
-    def get_workload(self, key: str):
-        """Cached workload for ``key``, or None (corrupt entries miss)."""
-        from repro.workloads.base import Workload
-
-        path = self._workload_path(key)
-        try:
-            with path.open("rb") as handle:
-                workload = pickle.load(handle)
-            if not isinstance(workload, Workload):
-                raise ValueError("not a Workload")
-        except (OSError, ValueError, pickle.UnpicklingError, EOFError,
-                AttributeError, ImportError, IndexError):
-            return None
-        return workload
-
-    def put_workload(self, key: str, workload) -> Path:
-        """Store a loaded workload atomically; returns the entry path."""
-        return write_atomic(
-            self._workload_path(key),
-            pickle.dumps(workload, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-
-    # -- segmented entries -------------------------------------------------
+    # -- the entry format ----------------------------------------------------
     #
-    # Chunked storage for streaming runs: one directory per key holding
-    # fixed-size segments plus a manifest.  The manifest is written LAST
+    # One directory per key, holding numbered segments plus a manifest
+    # that lists each segment's length.  The manifest is written LAST
     # (after every segment landed via temp+rename), so it doubles as the
-    # commit record — a crash mid-run leaves segments without a
+    # commit record — a crash mid-write leaves segments without a
     # manifest, which readers treat as "entry absent".  No partial entry
     # is ever visible.
 
-    def _dataset_segment_dir(self, key: str) -> Path:
-        return self.root / "datasets" / key
+    def _dir(self, kind: str, key: str) -> Path:
+        if kind == "cells":
+            return self.root / kind / key[:2] / key
+        return self.root / kind / key
 
-    def _workload_segment_dir(self, key: str) -> Path:
-        return self.root / "workloads" / key
+    def _segment_path(self, kind: str, key: str, index: int) -> Path:
+        suffix = ".json" if kind == "cells" else ".pkl"
+        return self._dir(kind, key) / f"seg-{index:05d}{suffix}"
 
-    def _cell_segment_dir(self, key: str) -> Path:
-        return self.root / "cells" / key[:2] / key
+    def _put_segment(self, kind: str, key: str, index: int, items: list) -> Path:
+        if kind == "cells":
+            payload = json.dumps([answer_to_dict(answer) for answer in items])
+        else:
+            payload = pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL)
+        return write_atomic(self._segment_path(kind, key, index), payload)
 
-    @staticmethod
-    def _segment_name(index: int, suffix: str) -> str:
-        return f"seg-{index:05d}{suffix}"
-
-    def _read_manifest(self, directory: Path, kind: str) -> Optional[dict]:
-        try:
-            manifest = json.loads((directory / "manifest.json").read_text())
-            if manifest.get("version") != CACHE_VERSION:
-                raise ValueError("segment manifest version mismatch")
-            if manifest.get("kind") != kind:
-                raise ValueError("segment manifest kind mismatch")
-            counts = manifest["counts"]
-            if not isinstance(counts, list) or manifest["total"] != sum(counts):
-                raise ValueError("segment manifest counts inconsistent")
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-        return manifest
-
-    def _commit_manifest(
+    def _commit(
         self,
-        directory: Path,
         kind: str,
+        key: str,
         chunk_size: int,
         counts: Sequence[int],
         meta: Optional[dict],
@@ -439,121 +301,101 @@ class ResultCache:
             "total": sum(counts),
             "meta": meta or {},
         }
-        return write_atomic(directory / "manifest.json", json.dumps(manifest))
-
-    def _put_pickled_segment(self, directory: Path, index: int, items: list) -> Path:
         return write_atomic(
-            directory / self._segment_name(index, ".pkl"),
-            pickle.dumps(items, protocol=pickle.HIGHEST_PROTOCOL),
+            self._dir(kind, key) / "manifest.json", json.dumps(manifest)
         )
 
-    def _iter_pickled_segments(
-        self, directory: Path, manifest: Optional[dict], label: str
+    def _write(self, kind: str, key: str, items: list, meta: Optional[dict]) -> Path:
+        """Store ``items`` as a one-segment entry; returns the manifest path."""
+        self._put_segment(kind, key, 0, items)
+        return self._commit(kind, key, len(items), [len(items)], meta)
+
+    def _manifest(self, kind: str, key: str) -> Optional[dict]:
+        try:
+            manifest = json.loads((self._dir(kind, key) / "manifest.json").read_text())
+            if manifest.get("version") != CACHE_VERSION:
+                raise ValueError("manifest version mismatch")
+            if manifest.get("kind") != kind:
+                raise ValueError("manifest kind mismatch")
+            counts = manifest["counts"]
+            if not isinstance(counts, list) or manifest["total"] != sum(counts):
+                raise ValueError("manifest counts inconsistent")
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+            return None
+        return manifest
+
+    def _segments(
+        self, kind: str, key: str, manifest: Optional[dict]
     ) -> Iterator[list]:
-        """Yield the pickled segments a committed ``manifest`` lists.
+        """Yield the segments a committed ``manifest`` lists, in order.
 
         Raises :class:`CacheSegmentError` when there is no manifest, or a
         segment is missing, truncated, or the wrong length.
         """
         if manifest is None:
-            raise CacheSegmentError(f"no committed segments for {label}")
+            raise CacheSegmentError(f"no committed {kind} entry {key}")
         for index, count in enumerate(manifest["counts"]):
-            path = directory / self._segment_name(index, ".pkl")
+            path = self._segment_path(kind, key, index)
             try:
-                with path.open("rb") as handle:
-                    items = pickle.load(handle)
+                if kind == "cells":
+                    items = [answer_from_dict(item) for item in json.loads(path.read_text())]
+                else:
+                    with path.open("rb") as handle:
+                        items = pickle.load(handle)
                 if not isinstance(items, list) or len(items) != count:
                     raise ValueError("segment length mismatch")
-            except (OSError, ValueError, pickle.UnpicklingError, EOFError,
-                    AttributeError, ImportError, IndexError) as error:
+            except (OSError, ValueError, KeyError, TypeError, pickle.UnpicklingError,
+                    EOFError, AttributeError, ImportError, IndexError) as error:
                 raise CacheSegmentError(
-                    f"segment {index} of {label} unreadable: {error}"
+                    f"segment {index} of {kind} entry {key} unreadable: {error}"
                 ) from error
             yield items
 
-    def put_dataset_segment(self, key: str, index: int, instances: list) -> Path:
-        """Store one dataset segment (a list of TaskInstance) atomically."""
-        return self._put_pickled_segment(
-            self._dataset_segment_dir(key), index, instances
-        )
+    def _read(self, kind: str, key: str) -> Optional[tuple[dict, list]]:
+        """A whole committed entry as ``(manifest, items)``, or None."""
+        manifest = self._manifest(kind, key)
+        if manifest is None:
+            return None
+        try:
+            return manifest, list(chain.from_iterable(self._segments(kind, key, manifest)))
+        except CacheSegmentError:
+            return None
 
-    def commit_dataset_segments(
-        self,
-        key: str,
-        chunk_size: int,
-        counts: Sequence[int],
-        meta: Optional[dict] = None,
-    ) -> Path:
-        """Write the dataset manifest — the commit point for the entry."""
-        return self._commit_manifest(
-            self._dataset_segment_dir(key),
-            "dataset-segments",
-            chunk_size,
-            counts,
-            meta,
-        )
+    # -- cells -----------------------------------------------------------------
 
-    def get_dataset_manifest(self, key: str) -> Optional[dict]:
-        """The committed dataset-segment manifest, or None."""
-        return self._read_manifest(
-            self._dataset_segment_dir(key), "dataset-segments"
-        )
+    def get(
+        self, key: str, expected_ids: Optional[Sequence[str]] = None
+    ) -> Optional[list[ModelAnswer]]:
+        """Cached answers for ``key``, or None on miss.
 
-    def iter_dataset_segments(self, key: str):
-        """Yield committed dataset segments in order.
-
-        Raises :class:`CacheSegmentError` when a segment is missing,
-        truncated, or the wrong length — callers recompute from scratch.
+        Absent, unreadable or version-mismatched entries count as misses,
+        as do entries whose answers do not align id-for-id with
+        ``expected_ids`` — the cache is an optimisation, never a source
+        of errors or misaligned metrics.
         """
-        yield from self._iter_pickled_segments(
-            self._dataset_segment_dir(key),
-            self.get_dataset_manifest(key),
-            f"dataset {key}",
-        )
+        entry = self._read("cells", key)
+        if entry is None or (
+            expected_ids is not None
+            and [answer.instance_id for answer in entry[1]] != list(expected_ids)
+        ):
+            self.stats.misses += 1
+            return None
+        self.stats.hits += 1
+        return entry[1]
 
-    def put_workload_segment(self, key: str, index: int, queries: list) -> Path:
-        """Store one spilled workload segment (a list of WorkloadQuery)."""
-        return self._put_pickled_segment(
-            self._workload_segment_dir(key), index, queries
-        )
-
-    def commit_workload_segments(
-        self, key: str, chunk_size: int, counts: Sequence[int]
+    def put(
+        self, key: str, answers: list[ModelAnswer], meta: Optional[dict] = None
     ) -> Path:
-        """Write the workload spill manifest — the commit point for the spill."""
-        return self._commit_manifest(
-            self._workload_segment_dir(key),
-            "workload-segments",
-            chunk_size,
-            counts,
-            None,
-        )
-
-    def get_workload_manifest(self, key: str) -> Optional[dict]:
-        """The committed workload spill manifest, or None."""
-        return self._read_manifest(
-            self._workload_segment_dir(key), "workload-segments"
-        )
-
-    def iter_workload_segments(self, key: str):
-        """Yield a committed workload spill's query segments in order.
-
-        Raises :class:`CacheSegmentError` like
-        :meth:`iter_dataset_segments`.
-        """
-        yield from self._iter_pickled_segments(
-            self._workload_segment_dir(key),
-            self.get_workload_manifest(key),
-            f"workload {key}",
-        )
+        """Store a cell's answers as one segment; returns the manifest path."""
+        path = self._write("cells", key, answers, meta)
+        self.stats.writes += 1
+        return path
 
     def put_cell_segment(
         self, key: str, index: int, answers: list[ModelAnswer]
     ) -> Path:
         """Store one cell segment (a list of answers) atomically."""
-        path = self._cell_segment_dir(key) / self._segment_name(index, ".json")
-        payload = json.dumps([answer_to_dict(answer) for answer in answers])
-        return write_atomic(path, payload)
+        return self._put_segment("cells", key, index, answers)
 
     def commit_cell_segments(
         self,
@@ -564,48 +406,111 @@ class ResultCache:
     ) -> Path:
         """Write the cell manifest — the commit point for the entry."""
         self.stats.writes += 1
-        return self._commit_manifest(
-            self._cell_segment_dir(key), "cell-segments", chunk_size, counts, meta
-        )
+        return self._commit("cells", key, chunk_size, counts, meta)
 
     def get_cell_manifest(self, key: str) -> Optional[dict]:
-        """The committed cell-segment manifest, or None."""
-        return self._read_manifest(self._cell_segment_dir(key), "cell-segments")
+        """The committed cell manifest, or None."""
+        return self._manifest("cells", key)
 
-    def iter_cell_segments(self, key: str):
+    def iter_cell_segments(self, key: str) -> Iterator[list[ModelAnswer]]:
         """Yield committed cell answer segments in order.
 
         Raises :class:`CacheSegmentError` when a segment is missing,
         truncated, or the wrong length — callers recompute from scratch.
         """
-        manifest = self.get_cell_manifest(key)
+        return self._segments("cells", key, self._manifest("cells", key))
+
+    # -- datasets ----------------------------------------------------------
+
+    def get_dataset(self, key: str) -> Optional[TaskDataset]:
+        """Cached dataset for ``key``, or None (absent or corrupt entries miss)."""
+        entry = self._read("datasets", key)
+        meta = entry[0]["meta"] if entry is not None else {}
+        if not meta.get("task") or not meta.get("workload"):
+            self.stats.dataset_misses += 1
+            return None
+        self.stats.dataset_hits += 1
+        return TaskDataset(task=meta["task"], workload=meta["workload"], instances=entry[1])
+
+    def put_dataset(self, key: str, dataset: TaskDataset) -> Path:
+        """Store a built dataset as one segment; returns the manifest path."""
+        return self._write(
+            "datasets",
+            key,
+            dataset.instances,
+            {"task": dataset.task, "workload": dataset.workload},
+        )
+
+    def put_dataset_segment(self, key: str, index: int, instances: list) -> Path:
+        """Store one dataset segment (a list of TaskInstance) atomically."""
+        return self._put_segment("datasets", key, index, instances)
+
+    def commit_dataset_segments(
+        self,
+        key: str,
+        chunk_size: int,
+        counts: Sequence[int],
+        meta: Optional[dict] = None,
+    ) -> Path:
+        """Write the dataset manifest — the commit point for the entry.
+
+        ``meta`` must name the dataset's ``task`` and ``workload``, which
+        :meth:`get_dataset` rebuilds the :class:`TaskDataset` from.
+        """
+        return self._commit("datasets", key, chunk_size, counts, meta)
+
+    def get_dataset_manifest(self, key: str) -> Optional[dict]:
+        """The committed dataset manifest, or None."""
+        return self._manifest("datasets", key)
+
+    def iter_dataset_segments(self, key: str) -> Iterator[list]:
+        """Yield committed dataset segments in order.
+
+        Raises :class:`CacheSegmentError` like :meth:`iter_cell_segments`.
+        """
+        return self._segments("datasets", key, self._manifest("datasets", key))
+
+    # -- workload spills ---------------------------------------------------
+
+    def get_workload(self, key: str) -> Optional[Iterator]:
+        """Replay a committed workload spill's queries, or None.
+
+        The queries are read segment by segment as they are consumed; a
+        segment that turns out unreadable raises
+        :class:`CacheSegmentError` mid-iteration.
+        """
+        manifest = self._manifest("workloads", key)
         if manifest is None:
-            raise CacheSegmentError(f"no committed cell segments for {key}")
-        directory = self._cell_segment_dir(key)
-        for index, count in enumerate(manifest["counts"]):
-            path = directory / self._segment_name(index, ".json")
-            try:
-                items = json.loads(path.read_text())
-                answers = [answer_from_dict(item) for item in items]
-                if len(answers) != count:
-                    raise ValueError("segment length mismatch")
-            except (OSError, ValueError, KeyError, TypeError) as error:
-                raise CacheSegmentError(
-                    f"cell segment {index} of {key} unreadable: {error}"
-                ) from error
-            yield answers
+            return None
+        return chain.from_iterable(self._segments("workloads", key, manifest))
+
+    def put_workload(self, key: str, queries: Iterable, chunk_size: int) -> Iterator:
+        """Pass ``queries`` through, spilling them into the entry for ``key``.
+
+        Each segment is written before its queries are yielded, so the
+        spill holds the generator's output before any consumer touches
+        it.  The manifest is committed only once ``queries`` is
+        exhausted: a pass that stops early (capped, interrupted, failed)
+        leaves nothing that a later pass could replay.
+        """
+        source = iter(queries)
+        counts: list[int] = []
+        while segment := list(islice(source, chunk_size)):
+            self._put_segment("workloads", key, len(counts), segment)
+            counts.append(len(segment))
+            yield from segment
+        self._commit("workloads", key, chunk_size, counts, None)
+
+    # -- maintenance -------------------------------------------------------
 
     def discard_segments(self, key: str) -> None:
-        """Drop any (possibly uncommitted) segment files for ``key``.
+        """Drop any (possibly uncommitted) entry files for ``key``.
 
         Used by failed streamed cells so orphaned segments don't linger;
         removing the manifest first keeps the entry invisible throughout.
         """
-        for directory in (
-            self._cell_segment_dir(key),
-            self._dataset_segment_dir(key),
-            self._workload_segment_dir(key),
-        ):
+        for kind in _NAMESPACES:
+            directory = self._dir(kind, key)
             if not directory.is_dir():
                 continue
             (directory / "manifest.json").unlink(missing_ok=True)
@@ -616,62 +521,50 @@ class ResultCache:
             except OSError:
                 pass
 
-    # -- maintenance -------------------------------------------------------
-    #
-    # The three ``*entries()`` listings count entries, not files: one
-    # path per monolithic file and one per committed segmented entry
-    # (its manifest).  ``segment_entries()`` lists the files behind the
-    # segmented ones.
+    # The three ``*entries()`` listings count committed entries (one
+    # manifest each), not files.
 
-    def _glob(self, *patterns: str) -> list[Path]:
+    def _glob(self, pattern: str) -> list[Path]:
         if not self.root.is_dir():
             return []
-        return sorted(path for pattern in patterns for path in self.root.glob(pattern))
+        return sorted(self.root.glob(pattern))
 
     def entries(self) -> list[Path]:
-        return self._glob("cells/*/*.json", "cells/*/*/manifest.json")
+        return self._glob("cells/*/*/manifest.json")
 
     def dataset_entries(self) -> list[Path]:
-        return self._glob("datasets/*.pkl", "datasets/*/manifest.json")
+        return self._glob("datasets/*/manifest.json")
 
     def workload_entries(self) -> list[Path]:
-        return self._glob("workloads/*.pkl", "workloads/*/manifest.json")
-
-    def segment_entries(self) -> list[Path]:
-        """Every segment file and manifest across the three namespaces."""
-        return self._glob(
-            "cells/*/*/seg-*.json",
-            "cells/*/*/manifest.json",
-            "datasets/*/seg-*.pkl",
-            "datasets/*/manifest.json",
-            "workloads/*/seg-*.pkl",
-            "workloads/*/manifest.json",
-        )
+        return self._glob("workloads/*/manifest.json")
 
     def _files(self) -> list[Path]:
-        return sorted(
-            {
-                *self.entries(),
-                *self.dataset_entries(),
-                *self.workload_entries(),
-                *self.segment_entries(),
-            }
-        )
+        """Every file under the three namespaces, whatever wrote it."""
+        return [
+            path
+            for kind in _NAMESPACES
+            for path in self._glob(f"{kind}/**/*")
+            if path.is_file()
+        ]
 
     def size_bytes(self) -> int:
         return sum(path.stat().st_size for path in self._files())
 
     def clear(self) -> int:
-        """Delete every cached file; returns how many.
+        """Delete every file under the three namespaces; returns how many
+        committed entries that removed.
 
-        Also sweeps ``*.tmp.*`` files orphaned by interrupted atomic
-        writes (they are invisible to ``entries()`` and would otherwise
-        accumulate forever).
+        Also removes what no reader looks up: uncommitted segments,
+        entries in an earlier layout, and ``*.tmp.*`` files orphaned by
+        interrupted atomic writes — otherwise they would accumulate
+        forever.
         """
-        removed = 0
+        removed = sum(
+            len(listing)
+            for listing in (self.entries(), self.dataset_entries(), self.workload_entries())
+        )
         for path in self._files():
             path.unlink(missing_ok=True)
-            removed += 1
         for orphan in self.root.glob("**/*.tmp.*"):
             if orphan.is_file():
                 orphan.unlink(missing_ok=True)

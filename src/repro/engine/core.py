@@ -80,7 +80,7 @@ from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, see below
     from repro.engine.streaming import CellWork, StreamingEvaluator
-    from repro.evalfw.runner import CellResult
+    from repro.evalfw.accumulate import CellResult
 
 #: Instances per chunk on the materialised path: small enough that a
 #: typical workload cell (a few hundred instances) splits across all
@@ -485,8 +485,8 @@ class ExperimentEngine:
         cells: Sequence[tuple[ModelProfile, str, str]],
         prompt: Optional[PromptTemplate],
     ) -> dict[tuple[str, str], "CellResult"]:
-        # Imported lazily: evalfw.runner imports this module at top level.
-        from repro.evalfw.runner import CellResult
+        # Imported lazily: the evalfw package imports this module at top level.
+        from repro.evalfw.accumulate import CellResult
 
         if self.config.chunk_size is not None:
             return self._evaluate_cells_streamed(cells, prompt)
@@ -614,7 +614,7 @@ class ExperimentEngine:
         prompt: Optional[PromptTemplate],
     ) -> None:
         """Persist and record one computed cell (cache, log, journal)."""
-        from repro.evalfw.runner import CellResult
+        from repro.evalfw.accumulate import CellResult
 
         profile, task, workload_name, dataset, key = entry
         self.computed_cells += 1
@@ -661,9 +661,8 @@ class ExperimentEngine:
 
         Each cell's instances are produced, evaluated, merged and
         persisted in ``chunk_size``-sized segments; the grid result is a
-        :class:`~repro.evalfw.accumulate.StreamedCellResult`, which
-        quacks like a CellResult for every metrics consumer but holds
-        counts instead of the data.
+        :class:`~repro.evalfw.accumulate.CellResult` that holds the
+        metric counts but no dataset or answers.
         """
         grid: dict[tuple[str, str], "CellResult"] = {}
         for profile, task, workload_name in cells:
@@ -695,15 +694,13 @@ class ExperimentEngine:
         chunk_seconds_max: Optional[float] = None,
     ) -> None:
         """Accumulate a served cell for the reporting layer."""
-        from repro.evalfw.accumulate import result_instance_count
-
         self.results[(result.model, result.task, result.workload)] = result
         self.cell_log.append(
             CellLog(
                 model=result.model,
                 task=result.task,
                 workload=result.workload,
-                instances=result_instance_count(result),
+                instances=result.instance_count,
                 cached=cached,
                 seconds=seconds,
                 prompt=prompt_fingerprint(result.task, prompt),

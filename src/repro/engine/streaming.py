@@ -18,21 +18,23 @@ flows each cell through fixed-size chunks end to end:
 
 * **produce** — task instances come from the same lazy generators the
   materialised builders drain (:mod:`repro.tasks.streaming`), re-chunked
-  from the segmented dataset cache on warm runs.  Each workload is
-  opened once per run.  With a cache, its first complete pass spills
-  the queries into the segment store (``workloads/<key>/``) and every
-  later pass — the run's other tasks, later runs — replays the spill
-  instead of running the generator again;
+  from the dataset cache entry on warm runs.  Each workload is opened
+  once per run.  With a cache, its first complete pass spills the
+  queries into a workload entry (``workloads/<key>/``) and every later
+  pass — the run's other tasks, later runs — replays the spill instead
+  of running the generator again;
 * **evaluate** — on the work queue, or in the engine's in-process loop
   at ``workers=1``;
 * **merge** — chunks are folded in order into a
   :class:`~repro.evalfw.accumulate.CellAccumulator`; the chunk's
   instances and answers are dropped immediately after.  Metrics come
-  out byte-identical to the materialised path because both share the
-  count-based constructors in :mod:`repro.evalfw.metrics`;
-* **persist** — answers land in the segmented cell cache as they merge
-  (atomic temp+rename per segment), with the manifest written only
-  after the last chunk: a failed or killed run leaves no visible entry.
+  out byte-identical to the materialised path because every
+  :class:`~repro.evalfw.accumulate.CellResult` reads them from an
+  accumulator;
+* **persist** — answers land in the cell's cache entry as they merge,
+  one segment per chunk (atomic temp+rename each), with the manifest
+  written only after the last chunk: a failed or killed run leaves no
+  visible entry.  Any cell entry serves either data path.
 
 Fault model: a worker that dies mid-chunk is detected via its exit
 code; its assigned chunks are re-dispatched to a fresh worker up to
@@ -57,13 +59,12 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from repro.engine.cache import CacheSegmentError, ResultCache, cell_key, workload_key
+from repro.engine.cache import CacheSegmentError, cell_key, workload_key
 from repro.engine.worker import ChunkSpec, ChunkTask, DatasetBuild, stream_worker_main
-from repro.evalfw.accumulate import CellAccumulator, StreamedCellResult
+from repro.evalfw.accumulate import CellAccumulator, CellResult
 from repro.llm.profiles import ModelProfile
 from repro.prompts.templates import PromptTemplate
 from repro.tasks.streaming import iter_instance_chunks
-from repro.workloads.base import WorkloadQuery
 from repro.workloads.streaming import WorkloadStream, stream_workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -269,25 +270,6 @@ def _rechunk(segments: Iterator[list], chunk_size: int) -> Iterator[list]:
         yield chunk
 
 
-def _spill(
-    queries: Iterator[WorkloadQuery], cache: ResultCache, key: str, chunk_size: int
-) -> Iterator[WorkloadQuery]:
-    """Pass ``queries`` through, spilling them to the cache as they go.
-
-    Each segment is written before its queries are yielded, so the spill
-    holds the generator's output before any consumer touches it.  The
-    manifest is committed only once the generator is exhausted: a pass
-    that stops early (capped, interrupted, failed) leaves nothing that
-    a later pass could replay.
-    """
-    counts: list[int] = []
-    for segment in _rechunk(iter([queries]), chunk_size):
-        cache.put_workload_segment(key, len(counts), segment)
-        counts.append(len(segment))
-        yield from segment
-    cache.commit_workload_segments(key, chunk_size, counts)
-
-
 class StreamingEvaluator:
     """Owns the work queue, and runs cells through the streamed data path."""
 
@@ -342,7 +324,7 @@ class StreamingEvaluator:
         task: str,
         workload_name: str,
         prompt: Optional[PromptTemplate],
-    ) -> tuple[StreamedCellResult, bool, float]:
+    ) -> tuple[CellResult, bool, float]:
         """One streamed cell: ``(result, served_from_cache, seconds)``."""
         engine = self.engine
         key: Optional[str] = None
@@ -385,82 +367,61 @@ class StreamingEvaluator:
         task: str,
         workload_name: str,
         key: str,
-    ) -> Optional[StreamedCellResult]:
-        """Serve a cell from committed answer segments, or None.
+    ) -> Optional[CellResult]:
+        """Serve a cell from its committed answer segments, or None.
 
         Validation is id-for-id while streaming, the same alignment
-        guarantee the materialised cache gives: any mismatch, truncated
-        segment, or length drift aborts to a clean recompute.
+        guarantee the materialised path gives: a missing entry, any
+        mismatch, truncated segment, or length drift counts a miss and
+        leads to a clean recompute.  Answers are re-chunked to the
+        configured chunk size, whichever path wrote the entry.
         """
         cache = self.engine.cache
         chunk_size = self.engine.config.chunk_size
-        manifest = cache.get_cell_manifest(key)
-        if manifest is not None:
-            answer_chunks = cache.iter_cell_segments(key)
-        else:
-            # A materialised run may have cached this cell monolithically;
-            # stream the answer list in chunks (answers are small — the
-            # instances, which dominate memory, stay streamed).
-            answers = cache.get(key)
-            if answers is None:
-                return None  # get() counted the miss
-            answer_chunks = iter(
-                [answers[i : i + chunk_size] for i in range(0, len(answers), chunk_size)]
-                or [[]]
-            )
+        if cache.get_cell_manifest(key) is None:
+            cache.stats.misses += 1
+            return None
         acc = CellAccumulator(model=profile.name, task=task, workload=workload_name)
         try:
-            instance_chunks, _ = self._instance_chunks(task, workload_name)
-            instance_iter = chain.from_iterable(instance_chunks)
-            for answers in answer_chunks:
+            instance_iter = chain.from_iterable(
+                self._instance_chunks(task, workload_name)
+            )
+            for answers in _rechunk(cache.iter_cell_segments(key), chunk_size):
                 instances = list(islice(instance_iter, len(answers)))
                 if len(instances) != len(answers) or any(
                     a.instance_id != i.instance_id
                     for a, i in zip(answers, instances)
                 ):
-                    if manifest is not None:
-                        cache.stats.misses += 1
-                    return None
+                    raise CacheSegmentError(f"cell {key} misaligned with its dataset")
                 acc.add_chunk(instances, answers)
             if next(instance_iter, None) is not None:
-                # The dataset has more instances than the entry answered.
-                if manifest is not None:
-                    cache.stats.misses += 1
-                return None
+                raise CacheSegmentError(f"cell {key} answers fewer instances")
         except CacheSegmentError:
-            if manifest is not None:
-                cache.stats.misses += 1
+            cache.stats.misses += 1
             return None
-        if manifest is not None:
-            cache.stats.hits += 1
+        cache.stats.hits += 1
         self.stats.count_cell(acc.chunks, acc.instances)
-        return acc.result(chunk_size)
+        return acc.result()
 
     # -- instance production ----------------------------------------------
 
-    def _instance_chunks(
-        self, task: str, workload_name: str
-    ) -> tuple[Iterator[list], bool]:
-        """The cell's instance stream: ``(chunk iterator, from_cache)``.
+    def _instance_chunks(self, task: str, workload_name: str) -> Iterator[list]:
+        """The cell's instance stream, one chunk at a time.
 
-        Warm: committed dataset segments (re-chunked to the configured
-        chunk size), else a monolithic dataset entry.  Cold: the lazy
-        task-instance generators over one pass of the workload,
-        persisting segments as they pass so sibling cells (other models,
-        warm reruns) stream from disk.
+        Warm: the committed dataset entry, re-chunked to the configured
+        chunk size.  Cold: the lazy task-instance generators over one
+        pass of the workload, persisting segments as they pass so
+        sibling cells (other models, warm reruns) stream from disk.
         """
         engine = self.engine
         cache = engine.cache
         chunk_size = engine.config.chunk_size
         dkey = engine._dataset_disk_key(task, workload_name)
         if cache is not None:
-            manifest = cache.get_dataset_manifest(dkey)
-            if manifest is not None:
+            if cache.get_dataset_manifest(dkey) is not None:
                 cache.stats.dataset_hits += 1
-                return _rechunk(cache.iter_dataset_segments(dkey), chunk_size), True
-            dataset = cache.get_dataset(dkey)
-            if dataset is not None:
-                return _rechunk(iter([dataset.instances]), chunk_size), True
+                return _rechunk(cache.iter_dataset_segments(dkey), chunk_size)
+            cache.stats.dataset_misses += 1
 
         def generate() -> Iterator[list]:
             source = self._workload_pass(workload_name)
@@ -484,9 +445,7 @@ class StreamingEvaluator:
                     meta={"task": task, "workload": workload_name},
                 )
 
-        if cache is not None:
-            cache.stats.dataset_misses += 1
-        return generate(), False
+        return generate()
 
     def _workload_pass(self, workload_name: str) -> WorkloadStream:
         """One pass over a workload's queries.
@@ -507,16 +466,13 @@ class StreamingEvaluator:
         if cache is None:
             return source
         key = workload_key(workload_name, engine.config.seed)
-        if cache.get_workload_manifest(key) is not None:
-            def replay() -> Iterator[WorkloadQuery]:
-                return chain.from_iterable(cache.iter_workload_segments(key))
-
-            return WorkloadStream(source.name, source.schemas, source.total, replay)
-
-        def spill() -> Iterator[WorkloadQuery]:
-            return _spill(source.factory(), cache, key, engine.config.chunk_size)
-
-        return WorkloadStream(source.name, source.schemas, source.total, spill)
+        replay = cache.get_workload(key)
+        if replay is not None:
+            return dataclasses.replace(source, factory=lambda: replay)
+        return dataclasses.replace(
+            source,
+            factory=lambda: cache.put_workload(key, source.factory(), engine.config.chunk_size),
+        )
 
     # -- cold path ---------------------------------------------------------
 
@@ -527,7 +483,7 @@ class StreamingEvaluator:
         workload_name: str,
         prompt: Optional[PromptTemplate],
         key: Optional[str],
-    ) -> StreamedCellResult:
+    ) -> CellResult:
         engine = self.engine
         cache = engine.cache if key is not None else None
         chunk_size = engine.config.chunk_size
@@ -540,11 +496,10 @@ class StreamingEvaluator:
                 cache.put_cell_segment(key, chunk_index, answers)
                 counts.append(len(answers))
 
-        instance_chunks, _ = self._instance_chunks(task, workload_name)
         cell = CellWork(
             chunks=(
                 engine._chunk_spec(profile, task, instances, prompt)
-                for instances in instance_chunks
+                for instances in self._instance_chunks(task, workload_name)
             ),
             on_merged=on_merged,
         )
@@ -575,7 +530,7 @@ class StreamingEvaluator:
                 },
             )
         self.stats.count_cell(acc.chunks, acc.instances)
-        return acc.result(chunk_size)
+        return acc.result()
 
     # -- work-queue scheduling ---------------------------------------------
 

@@ -1,21 +1,21 @@
-"""Incremental cell-metric accumulation for the streaming engine.
+"""Cell results and the accumulator every cell's metrics come from.
 
-A streamed cell never holds its dataset or answer list in memory; each
-chunk flows through a :class:`CellAccumulator`, which keeps only the
+A :class:`CellAccumulator` folds (instance, answer) chunks into the
 integer counts the metric constructors need — binary confusion counts,
 ``(label_type, predicted_type)`` pair counts, location running totals,
-and the explanation-overlap running sum.  Finalising produces a
-:class:`StreamedCellResult` exposing the same ``binary`` / ``typed`` /
-``location`` properties as :class:`repro.evalfw.runner.CellResult`, so
-``metrics_table`` and the reporting layer consume either interchangeably.
+and the explanation-overlap running sum.  A :class:`CellResult` reads
+its metrics and gates from one, on both data paths: a materialised cell
+keeps its dataset and answers for the per-instance artifacts and folds
+them as one chunk; a streamed cell keeps only the accumulator its
+chunks were folded into, so a million-instance cell costs the same
+memory as a ten-instance one.
 
-Exactness: every float operation happens in the shared
-``*_from_counts`` constructors (:mod:`repro.evalfw.metrics`), which the
-materialised path delegates through as well; the only streamed-side
-float state is the explanation-overlap running sum, accumulated in
-instance order — and ``a += x`` per element is exactly the left-to-right
-``sum()`` the materialised path computes.  Streamed and materialised
-metrics are therefore byte-identical, not merely close.
+Exactness: every float operation happens in the ``*_from_counts``
+constructors (:mod:`repro.evalfw.metrics`), which the list-based
+reference metrics delegate through as well; the only other float state
+is the explanation-overlap running sum, accumulated in instance order —
+and ``a += x`` per element is exactly a left-to-right ``sum()``.  A
+cell's metrics therefore do not depend on how it was chunked.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.evalfw.metrics import (
     location_metrics_from_counts,
     weighted_metrics_from_counts,
 )
-from repro.tasks.base import ModelAnswer, TaskInstance
+from repro.tasks.base import ModelAnswer, TaskDataset, TaskInstance
 
 
 @dataclass
@@ -101,43 +101,53 @@ class CellAccumulator:
                     if answer.predicted_position == instance.position:
                         self.loc_hits += 1
             if instance.gold_text:
+                # Without gold text the overlap is 0.0, and adding 0.0
+                # would leave the sum exactly as it is.
                 self.has_gold = True
-            self.overlap_sum += explanation_overlap_f1(
-                instance.gold_text, answer.explanation
-            )
+                self.overlap_sum += explanation_overlap_f1(
+                    instance.gold_text, answer.explanation
+                )
             if answer.flaws:
                 self.flawed += 1
 
-    def result(self, chunk_size: Optional[int] = None) -> "StreamedCellResult":
-        """Finalise into a CellResult-compatible streamed result."""
-        return StreamedCellResult(
-            model=self.model,
-            task=self.task,
-            workload=self.workload,
-            instance_count=self.instances,
-            chunk_count=self.chunks,
-            chunk_size=chunk_size,
-            _acc=self,
+    def result(self) -> "CellResult":
+        """Finalise into a streamed :class:`CellResult` (no dataset, no answers)."""
+        return CellResult(
+            model=self.model, task=self.task, workload=self.workload, accumulator=self
         )
 
 
 @dataclass
-class StreamedCellResult:
-    """One streamed (model, task, workload) cell: metrics without data.
+class CellResult:
+    """One (model, task, workload) evaluation cell.
 
-    Quacks like :class:`repro.evalfw.runner.CellResult` for every
-    metrics consumer (``binary`` / ``typed`` / ``location``); carries
-    counts instead of the dataset and answers, so a million-instance
-    cell costs the same memory as a ten-instance one.
+    ``dataset`` and ``answers`` are set on materialised cells, whose
+    per-instance artifacts read them, and None on streamed ones.  Either
+    way the metrics and their gates come from a
+    :class:`CellAccumulator`: a streamed cell is built around the one
+    its chunks were folded into, and a materialised cell folds its
+    dataset and answers into one the first time a metric is read.
     """
 
     model: str
     task: str
     workload: str
-    instance_count: int
-    chunk_count: int
-    chunk_size: Optional[int]
-    _acc: CellAccumulator
+    dataset: Optional[TaskDataset] = None
+    answers: Optional[list[ModelAnswer]] = None
+    accumulator: Optional[CellAccumulator] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def _acc(self) -> CellAccumulator:
+        if self.accumulator is None:
+            self.accumulator = CellAccumulator(self.model, self.task, self.workload)
+            self.accumulator.add_chunk(self.dataset.instances, self.answers)
+        return self.accumulator
+
+    @property
+    def instance_count(self) -> int:
+        return self._acc.instances
 
     @property
     def binary(self) -> BinaryMetrics:
@@ -152,12 +162,13 @@ class StreamedCellResult:
 
     @property
     def location(self) -> LocationMetrics:
+        acc = self._acc
         return location_metrics_from_counts(
-            n_pairs=self._acc.loc_pairs,
-            truth_sum=self._acc.loc_truth_sum,
-            abs_error_sum=self._acc.loc_abs_error_sum,
-            hits=self._acc.loc_hits,
-            misses=self._acc.loc_misses,
+            n_pairs=acc.loc_pairs,
+            truth_sum=acc.loc_truth_sum,
+            abs_error_sum=acc.loc_abs_error_sum,
+            hits=acc.loc_hits,
+            misses=acc.loc_misses,
         )
 
     # -- gates and extras for the reporting layer -------------------------
@@ -188,10 +199,3 @@ class StreamedCellResult:
         if not self.instance_count:
             return 0.0
         return self._acc.flawed / self.instance_count
-
-
-def result_instance_count(result) -> int:
-    """Instance count of a materialised OR streamed cell result."""
-    if isinstance(result, StreamedCellResult):
-        return result.instance_count
-    return len(result.dataset.instances)

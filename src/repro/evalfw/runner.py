@@ -10,54 +10,17 @@ paper's tables are built from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from repro.engine.core import EngineConfig, ExperimentEngine
+from repro.evalfw.accumulate import CellResult
 from repro.llm.backends import DEFAULT_MAX_CONCURRENCY, BackendSpec, SIMULATED_SPEC
-from repro.evalfw.metrics import (
-    BinaryMetrics,
-    LocationMetrics,
-    WeightedMetrics,
-    binary_metrics,
-    location_metrics,
-    weighted_metrics,
-)
 from repro.llm.profiles import MODEL_PROFILES, ModelProfile
 from repro.llm.simulated import SimulatedLLM
 from repro.prompts.templates import PromptTemplate
-from repro.tasks.base import ModelAnswer, TaskDataset
+from repro.tasks.base import TaskDataset
 from repro.workloads.base import Workload
-
-
-@dataclass
-class CellResult:
-    """One (model, task, workload) evaluation cell."""
-
-    model: str
-    task: str
-    workload: str
-    dataset: TaskDataset
-    answers: list[ModelAnswer]
-
-    @property
-    def binary(self) -> BinaryMetrics:
-        truths = [bool(i.label) for i in self.dataset.instances]
-        predictions = [a.predicted for a in self.answers]
-        return binary_metrics(truths, predictions)
-
-    @property
-    def typed(self) -> WeightedMetrics:
-        truths = [i.label_type for i in self.dataset.instances]
-        predictions = [a.predicted_type for a in self.answers]
-        return weighted_metrics(truths, predictions)
-
-    @property
-    def location(self) -> LocationMetrics:
-        truths = [i.position for i in self.dataset.instances]
-        predictions = [a.predicted_position for a in self.answers]
-        return location_metrics(truths, predictions)
 
 
 class ExperimentRunner:

@@ -92,48 +92,13 @@ def cell_record_from_result(
     ``binary.*`` needs boolean labels, ``typed.*`` type labels,
     ``location.*`` positions, and ``explanation.*`` (overlap F1 and
     flawed-response rate) gold explanation texts — so a record never
-    reports a vacuous zero for a metric the task does not define.
-
-    Accepts a materialised :class:`CellResult` or a
-    :class:`~repro.evalfw.accumulate.StreamedCellResult`: the streamed
-    variant carries the same gates as counts, so the record comes out
-    identical without the dataset ever being in memory.
+    reports a vacuous zero for a metric the task does not define.  The
+    gates come from the cell's accumulated counts, so a streamed cell's
+    record needs no dataset in memory.
     """
-    from repro.evalfw.accumulate import StreamedCellResult
-
     metrics: dict[str, float] = {}
     confusion: dict[str, int] = {}
-    explanation: Optional[tuple[float, float]] = None
-    if isinstance(result, StreamedCellResult):
-        instances = result.instance_count
-        has_labels = result.has_labels
-        has_types = bool(result.types_present())
-        has_positions = result.has_positions
-        if result.has_gold and result.instance_count:
-            explanation = (result.explanation_overlap_f1, result.flawed_rate)
-    else:
-        instances = len(result.dataset.instances)
-        has_labels = any(i.label is not None for i in result.dataset.instances)
-        has_types = bool(result.dataset.types_present())
-        has_positions = any(
-            i.position is not None for i in result.dataset.instances
-        )
-        if any(i.gold_text for i in result.dataset.instances):
-            from repro.tasks.explanation import explanation_overlap_f1
-
-            scores = [
-                explanation_overlap_f1(instance.gold_text, answer.explanation)
-                for instance, answer in zip(
-                    result.dataset.instances, result.answers
-                )
-            ]
-            if scores:
-                explanation = (
-                    sum(scores) / len(scores),
-                    sum(1 for answer in result.answers if answer.flaws)
-                    / len(result.answers),
-                )
-    if has_labels:
+    if result.has_labels:
         binary = result.binary
         metrics["binary.precision"] = binary.precision
         metrics["binary.recall"] = binary.recall
@@ -145,24 +110,24 @@ def cell_record_from_result(
             "fp": binary.fp,
             "fn": binary.fn,
         }
-    if has_types:
+    if result.types_present():
         typed = result.typed
         metrics["typed.precision"] = typed.precision
         metrics["typed.recall"] = typed.recall
         metrics["typed.f1"] = typed.f1
-    if has_positions:
+    if result.has_positions:
         location = result.location
         metrics["location.mae"] = location.mae
         metrics["location.hit_rate"] = location.hit_rate
-    if explanation is not None:
-        metrics["explanation.overlap_f1"] = explanation[0]
-        metrics["explanation.flawed_rate"] = explanation[1]
+    if result.has_gold and result.instance_count:
+        metrics["explanation.overlap_f1"] = result.explanation_overlap_f1
+        metrics["explanation.flawed_rate"] = result.flawed_rate
     return CellRecord(
         model=result.model,
         model_display=model_display,
         task=result.task,
         workload=result.workload,
-        instances=instances,
+        instances=result.instance_count,
         cached=cached,
         seconds=seconds,
         metrics={k: round(v, 6) for k, v in metrics.items()},

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import re
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -51,6 +52,9 @@ from repro.server.jobs import (
 
 #: Poll interval for SSE streaming and drain waits (seconds).
 _POLL_SECONDS = 0.05
+
+#: A cell cache key: a sha256 hex digest (see :func:`repro.engine.cache.cell_key`).
+_CELL_KEY = re.compile(r"[0-9a-f]{64}")
 
 _STATUS_TEXT = {
     200: "OK",
@@ -650,27 +654,21 @@ class EvalServer:
         }
 
     def _cache_entry(self, writer, key: str) -> None:
+        """Serve the manifest of one committed cell entry.
+
+        The key comes straight from the URL, so anything but a cell key
+        (64 lowercase hex characters) is refused before it can name a
+        path.
+        """
         from repro.engine.cache import ResultCache
 
-        cache = ResultCache(self.config.cache_dir)
-        path = cache._path(key)
-        if path.is_file():
-            try:
-                entry = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as error:
-                return self._respond(
-                    writer, 500, {"error": f"unreadable cache entry: {error}"}
-                )
-            return self._respond(
-                writer, 200, {"key": key, "segmented": False, "entry": entry}
-            )
-        manifest = cache.get_cell_manifest(key)
-        if manifest is not None:
+        if not _CELL_KEY.fullmatch(key):
             return self._respond(
                 writer,
-                200,
-                {"key": key, "segmented": True, "manifest": manifest},
+                400,
+                {"error": f"malformed cache key {key!r}: expected 64 lowercase hex digits"},
             )
-        return self._respond(
-            writer, 404, {"error": f"no cache entry {key!r}"}
-        )
+        manifest = ResultCache(self.config.cache_dir).get_cell_manifest(key)
+        if manifest is None:
+            return self._respond(writer, 404, {"error": f"no cache entry {key!r}"})
+        return self._respond(writer, 200, {"key": key, "manifest": manifest})

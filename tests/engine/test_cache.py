@@ -5,6 +5,10 @@ import json
 import sys
 import threading
 
+import pytest
+
+from repro.cli import main
+from repro.engine import EngineConfig, ExperimentEngine
 from repro.engine.cache import (
     ResultCache,
     answer_from_dict,
@@ -135,16 +139,16 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key = "ee" + "0" * 62
         cache.put(key, _answers())
-        cache._path(key).write_text("{not json")
+        cache._segment_path("cells", key, 0).write_text("{not json")
         assert cache.get(key) is None
 
     def test_version_mismatch_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = "aa" + "0" * 62
-        cache.put(key, _answers())
-        payload = json.loads(cache._path(key).read_text())
+        manifest = cache.put(key, _answers())
+        payload = json.loads(manifest.read_text())
         payload["version"] = -1
-        cache._path(key).write_text(json.dumps(payload))
+        manifest.write_text(json.dumps(payload))
         assert cache.get(key) is None
 
     def test_clear_removes_everything(self, tmp_path):
@@ -204,7 +208,7 @@ class TestDatasetCache:
         cache = ResultCache(tmp_path)
         key = dataset_key("syntax_error", "sdss", 0, None)
         cache.put_dataset(key, self._dataset())
-        cache._dataset_path(key).write_bytes(b"\x80garbage")
+        cache._segment_path("datasets", key, 0).write_bytes(b"\x80garbage")
         assert cache.get_dataset(key) is None
 
     def test_clear_removes_datasets_too(self, tmp_path):
@@ -223,6 +227,56 @@ class TestDatasetCache:
         orphan.write_text("{half")
         cache.clear()
         assert not orphan.exists()
+
+
+class TestRetiredLayout:
+    """Files of the layout before one entry format (``cells/xy/<key>.json``,
+    ``datasets/<key>.pkl``, ``workloads/<key>.pkl``): no reader looks them
+    up, but ``cache info`` counts their bytes and ``cache clear`` removes
+    them."""
+
+    def _info(self, root, capsys) -> dict:
+        assert main(["cache", "info", "--cache-dir", str(root)]) == 0
+        return dict(
+            (part.strip() for part in line.split(":", 1))
+            for line in capsys.readouterr().out.splitlines()
+        )
+
+    def test_clear_removes_retired_files(self, tmp_path, capsys):
+        key = "ab" + "3" * 62
+        for path in (
+            tmp_path / "cells" / "ab" / f"{key}.json",
+            tmp_path / "datasets" / f"{key}.pkl",
+            tmp_path / "workloads" / f"{key}.pkl",
+        ):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(b"retired")
+        info = self._info(tmp_path, capsys)
+        assert (info["cells"], info["datasets"], info["workloads"]) == ("0", "0", "0")
+        assert info["size"] == "21 bytes"
+        assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+        info = self._info(tmp_path, capsys)
+        assert (info["cells"], info["datasets"], info["workloads"]) == ("0", "0", "0")
+        assert info["size"] == "0 bytes"
+
+
+class TestCountersOnBothPaths:
+    """One cell, cold then warm: both data paths count the same cache
+    traffic (one lookup of the cell and one of its dataset per run)."""
+
+    @pytest.mark.parametrize("chunk_size", (None, 25), ids=("materialised", "chunked"))
+    def test_cold_then_warm(self, tmp_path, chunk_size):
+        config = EngineConfig(seed=5, chunk_size=chunk_size, cache_dir=tmp_path)
+        expected = (
+            {"hits": 0, "misses": 1, "writes": 1, "dataset_hits": 0, "dataset_misses": 1},
+            {"hits": 1, "misses": 0, "writes": 0, "dataset_hits": 1, "dataset_misses": 0},
+        )
+        for counts in expected:
+            with ExperimentEngine(config, (GPT4,)) as engine:
+                engine.run_cell("gpt4", "syntax_error", "synthetic:default:n=10")
+                assert engine.cache.stats.as_dict() == counts
 
 
 class TestConcurrentWrites:

@@ -134,7 +134,7 @@ class TestCacheServedRuns:
             backend=cold.config.backend,
             backend_state=cold._backend_state(),
         )
-        cold.cache._path(key).write_text("corrupt", encoding="utf-8")
+        cold.cache._segment_path("cells", key, 0).write_text("corrupt", encoding="utf-8")
 
         warm = self._engine(tmp_path)
         grid_warm = warm.run_task("syntax_error")

@@ -58,7 +58,7 @@ class TestCellSegmentRoundTrip:
         assert cache.get_cell_manifest("k" * 16) is None
         with pytest.raises(CacheSegmentError):
             list(cache.iter_cell_segments("k" * 16))
-        # The monolithic getter treats the orphaned segments as a miss.
+        # The whole-entry getter treats the orphaned segments as a miss.
         assert cache.get("k" * 16) is None
 
     def test_discard_removes_segments_and_manifest(self, tmp_path):
@@ -69,15 +69,14 @@ class TestCellSegmentRoundTrip:
         cache.commit_dataset_segments(
             "d" * 16, 1, [1], meta={"task": "t", "workload": "w"}
         )
-        cache.put_workload_segment("w" * 16, 0, ["q"])
-        cache.commit_workload_segments("w" * 16, 1, [1])
+        assert list(cache.put_workload("w" * 16, ["q"], 1)) == ["q"]
         cache.discard_segments("k" * 16)
         cache.discard_segments("d" * 16)
         cache.discard_segments("w" * 16)
         assert cache.get_cell_manifest("k" * 16) is None
         assert cache.get_dataset_manifest("d" * 16) is None
-        assert cache.get_workload_manifest("w" * 16) is None
-        assert cache.segment_entries() == []
+        assert cache.get_workload("w" * 16) is None
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
 
     def test_no_temp_files_survive_a_write(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -105,7 +104,7 @@ class TestDatasetSegmentRoundTrip:
             meta={"task": dataset.task, "workload": dataset.workload},
         )
         assert list(cache.iter_dataset_segments("d" * 16)) == chunks
-        # The monolithic getter reassembles the segments transparently.
+        # The whole-entry getter reads the same segments.
         reassembled = cache.get_dataset("d" * 16)
         assert reassembled is not None
         assert reassembled.task == dataset.task

@@ -8,8 +8,6 @@ segments.  A pass that stops early commits nothing, and a bad spill
 segment costs one clean recompute, never wrong numbers.
 """
 
-from itertools import chain
-
 import pytest
 
 from repro.engine import EngineConfig, ExperimentEngine, workload_key
@@ -104,11 +102,11 @@ class TestSpillCommit:
             engine.run_cell("gpt4", "syntax_error", WORKLOAD)
             first_pass = generated[0]
             assert 0 < first_pass < TOTAL
-            assert ResultCache(tmp_path).get_workload_manifest(key) is None
+            assert ResultCache(tmp_path).get_workload(key) is None
             # With nothing committed, the next pass runs the generator.
             engine.run_cell("gpt4", "miss_token", WORKLOAD)
         assert generated[0] > first_pass
-        assert ResultCache(tmp_path).get_workload_manifest(key) is None
+        assert ResultCache(tmp_path).get_workload(key) is None
 
     def test_truncated_spill_segment_recomputes_cleanly(
         self, tmp_path, reference, generated
@@ -126,7 +124,5 @@ class TestSpillCommit:
         ]
         # One clean generator pass, which rewrote the spill.
         assert generated[0] == TOTAL
-        spill = ResultCache(tmp_path).iter_workload_segments(
-            workload_key(WORKLOAD, SEED)
-        )
-        assert len(list(chain.from_iterable(spill))) == TOTAL
+        spill = ResultCache(tmp_path).get_workload(workload_key(WORKLOAD, SEED))
+        assert len(list(spill)) == TOTAL

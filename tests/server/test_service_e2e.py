@@ -9,10 +9,13 @@ polling and by SSE.
 
 from __future__ import annotations
 
+import http.client
 import threading
+from urllib.parse import urlsplit
 
 import pytest
 
+from repro.engine.cache import ResultCache
 from repro.reporting.run_record import RunRecordStore
 from repro.server import ServiceError
 from repro.server.jobs import JOB_CANCELLED, JOB_DONE
@@ -117,6 +120,39 @@ class TestLifecycle:
             with pytest.raises(ServiceError) as excinfo:
                 client.job("nope")
             assert excinfo.value.status == 404
+
+
+class TestCacheEndpoint:
+    def test_serves_manifests_and_refuses_malformed_keys(self, tmp_path):
+        config = config_for(tmp_path)
+        # A file a path traversal out of the cache dir would reach.
+        (tmp_path / "secret.json").write_text('{"secret": "not a cache entry"}')
+        with serve(config) as server:
+            client = client_for(server)
+            done = client.wait(client.submit(GRID)["job_id"], timeout=300)
+            assert done["state"] == JOB_DONE, done.get("error")
+            key = ResultCache(config.cache_dir).entries()[0].parent.name
+            entry = client.cache_entry(key)
+            assert entry["key"] == key
+            assert entry["manifest"]["kind"] == "cells"
+            assert entry["manifest"]["total"] > 0
+            with pytest.raises(ServiceError) as excinfo:
+                client.cache_entry("0" * 64)
+            assert excinfo.value.status == 404
+            with pytest.raises(ServiceError) as excinfo:
+                client.cache_entry(key.upper())
+            assert excinfo.value.status == 400
+            # Sent raw, so no client normalises the dot segments away.
+            url = urlsplit(server.url)
+            connection = http.client.HTTPConnection(url.hostname, url.port, timeout=30)
+            try:
+                connection.request("GET", "/v1/cache/../secret")
+                response = connection.getresponse()
+                body = response.read().decode("utf-8")
+            finally:
+                connection.close()
+            assert response.status == 400
+            assert "not a cache entry" not in body
 
 
 class TestConcurrentDedup:
