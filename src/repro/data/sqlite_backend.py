@@ -2,7 +2,7 @@
 
 ``SqliteDatabase`` turns a schema + generated rows into a live in-memory
 SQLite database and executes queries rendered in the SQLITE dialect.
-``ResultComparison`` provides the multiset semantics the equivalence
+:func:`results_equal` provides the multiset semantics the equivalence
 checker needs (SQL results are bags; order only matters under ORDER BY).
 """
 
@@ -178,6 +178,17 @@ def results_equal(
     """
     if len(first.columns) != len(second.columns):
         return False
+    # Most comparisons are of raw-equal results, and those stay equal
+    # after normalisation, so normalise only on a raw mismatch.  The raw
+    # match pairs cells of one type only: an int equals the float of the
+    # same value, but normalisation may round the float away from it.
+    first_typed = [(row, tuple(map(type, row))) for row in first.rows]
+    second_typed = [(row, tuple(map(type, row))) for row in second.rows]
+    if ordered:
+        if first_typed == second_typed:
+            return True
+    elif Counter(first_typed) == Counter(second_typed):
+        return True
     first_rows = [tuple(_normalise_cell(c) for c in row) for row in first.rows]
     second_rows = [tuple(_normalise_cell(c) for c in row) for row in second.rows]
     if ordered:

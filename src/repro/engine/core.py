@@ -73,6 +73,7 @@ from repro.llm.backends import (
 from repro.llm.profiles import MODEL_PROFILES, ModelProfile
 from repro.llm.simulated import SimulatedLLM
 from repro.prompts.templates import PromptTemplate
+from repro.sql.analysis_cache import counters as analysis_counters
 from repro.tasks.base import ModelAnswer, TaskDataset, TaskInstance
 from repro.tasks.registry import TASK_WORKLOADS, build_dataset
 from repro.workloads import load_workload
@@ -246,6 +247,9 @@ class ExperimentEngine:
         self._backend_state_memo: Optional[str] = None
         self._by_name = {profile.name: profile for profile in models}
         self._streaming: Optional["StreamingEvaluator"] = None
+        #: Analysis-memo counters at the start of this engine's run; the
+        #: run record stores the counts accumulated since.
+        self.analysis_baseline = analysis_counters()
 
     # -- shared state ------------------------------------------------------
 

@@ -159,7 +159,10 @@ class RunRecord:
     #: Parent-process analysis-memo counters (raw lex/parse runs plus
     #: hit/miss per memo table) — the provenance for how much parse work
     #: the run actually did versus how much the memo layer absorbed.
-    #: Worker-process caches are per-process and not aggregated here.
+    #: Counted from the run's start, so earlier runs in the same process
+    #: are excluded; jobs running at the same time in one process
+    #: (``repro serve --max-concurrent-jobs``) still count each other's
+    #: work.  Worker-process caches are per-process and not aggregated.
     analysis_cache_stats: dict[str, int] = field(default_factory=dict)
     #: Streaming provenance: the chunk size the run streamed with (None
     #: = materialised data path) and the work-queue counters (chunks,
@@ -414,7 +417,9 @@ def record_from_engine(
         computed_cells=computed_count,
         cached_cells=cached_count,
         cache_stats=cache_stats,
-        analysis_cache_stats=analysis_counters().as_dict(),
+        analysis_cache_stats=analysis_counters()
+        .since(engine.analysis_baseline)
+        .as_dict(),
         chunk_size=config.chunk_size,
         stream_stats=engine.stream_stats() or {},
         rewrite_catalog=rewrite_catalog,

@@ -105,6 +105,12 @@ class CacheCounters:
     def as_dict(self) -> dict[str, int]:
         return dict(self.__dict__)
 
+    def since(self, start: "CacheCounters") -> "CacheCounters":
+        """The counts accumulated between the *start* snapshot and this one."""
+        return CacheCounters(
+            **{key: value - getattr(start, key) for key, value in self.__dict__.items()}
+        )
+
 
 _raw_tokenizes = _AtomicCounter()
 _raw_parses = _AtomicCounter()

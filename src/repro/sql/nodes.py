@@ -3,12 +3,21 @@
 Every node is a ``__slots__`` dataclass: slotted instances are smaller
 and faster to build/clone than dict-backed ones, which matters because
 million-instance synthetic workloads (ROADMAP item 2) materialise one
-tree per query text.  Structural equality is provided by a single
-generic :meth:`Node.__eq__` with a precomputed-hash fast path: once
-:func:`structural_hash` has been computed for two trees, comparing them
-starts with an O(1) hash check instead of a full tree walk.  ``walk``
-provides generic pre-order traversal for property extraction and
-transforms.
+tree per query text.
+
+At import the module builds one :class:`Layout` per concrete node class
+(:data:`LAYOUTS`) from the class's type hints.  Each field is classified
+once as a scalar, one node, a node list, a list of tuples, a list of
+node lists or a list of strings; an annotation outside those shapes
+fails the import.  The AST kernels run from the layouts instead of
+testing every field value at run time: :meth:`Node.children`,
+:func:`walk`, :func:`clone`, equality and :func:`structural_hash` here,
+and the splicing loops of :mod:`repro.sql.transform`.
+
+Structural equality is provided by a single generic :meth:`Node.__eq__`
+with a precomputed-hash fast path: once :func:`structural_hash` has been
+computed for two trees, comparing them starts with an O(1) hash check
+instead of a full tree walk.
 
 Nodes are deliberately *unhashable* (``__hash__ = None``): they are
 mutable, and the analysis cache keys on query text, never on trees.
@@ -20,29 +29,14 @@ detection in :mod:`repro.sql.analysis_cache`).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
-from typing import Iterator, Optional, Union
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 #: Armed by ``REPRO_DEBUG_SHARED_AST=1`` (the same switch that arms the
 #: analysis-cache mutation guard): every clone() asserts the copy starts
 #: with no ``_shash``, so a stale structural hash can never ride across
 #: a mutating transform.
 _DEBUG_CLONE_SHASH = os.environ.get("REPRO_DEBUG_SHARED_AST", "") not in ("", "0")
-
-
-#: Per-class field-name cache: ``dataclasses.fields`` is surprisingly
-#: expensive to call once per node per traversal, and traversals
-#: (property extraction, transforms, semantic analysis) dominate the
-#: engine's dataset-build hot path.
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
-
-
-def _field_names(cls: type) -> tuple[str, ...]:
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = tuple(f.name for f in fields(cls))  # type: ignore[arg-type]
-        _FIELD_NAMES[cls] = names
-    return names
 
 
 class Node:
@@ -70,7 +64,7 @@ class Node:
                 return False
         except AttributeError:
             pass
-        for name in _field_names(cls):
+        for name in LAYOUTS[cls].names:
             if getattr(self, name) != getattr(other, name):
                 return False
         return True
@@ -79,39 +73,129 @@ class Node:
     # explicit: nodes are mutable and must stay unhashable.
     __hash__ = None  # type: ignore[assignment]
 
-    def children(self) -> Iterator["Node"]:
-        """Yield direct child nodes (dataclass fields, recursing into lists)."""
-        for name in _field_names(self.__class__):
-            value = getattr(self, name)
-            if isinstance(value, Node):
-                yield value
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Node):
-                        yield item
-                    elif isinstance(item, tuple):
-                        for sub in item:
-                            if isinstance(sub, Node):
-                                yield sub
+    def children(self) -> list["Node"]:
+        """Direct child nodes in field order, list items and tuple slots included."""
+        return _children(self, LAYOUTS[self.__class__].links)
+
+
+# ---------------------------------------------------------------------------
+# Field layouts
+# ---------------------------------------------------------------------------
+
+#: Field kinds.  A node field holds one node or, when Optional, None; a
+#: pairs field holds tuples whose node slots the layout lists; a rows
+#: field holds lists of nodes (``Insert.rows``).
+SCALAR = "scalar"
+NODE = "node"
+NODES = "nodes"
+PAIRS = "pairs"
+ROWS = "rows"
+STRINGS = "strings"
+
+_SCALAR_TYPES = (str, int, float, bool, type(None))
+
+
+class Layout:
+    """The classified fields of one concrete node class.
+
+    ``names`` holds every field in declaration order.  ``scalars`` are
+    copied by reference and ``strings`` shallowly.  ``links`` are the
+    fields that can hold nodes, in declaration order, as
+    ``(name, kind, positions)``; ``positions`` indexes the node slots of
+    a ``PAIRS`` field's tuples and is empty for every other kind.
+    """
+
+    __slots__ = ("names", "scalars", "strings", "links")
+
+    def __init__(self, cls: type) -> None:
+        hints = get_type_hints(cls)
+        self.names = tuple(f.name for f in fields(cls))
+        scalars, strings, links = [], [], []
+        for name in self.names:
+            kind, positions = _field_kind(cls, name, hints[name])
+            if kind is SCALAR:
+                scalars.append(name)
+            elif kind is STRINGS:
+                strings.append(name)
+            else:
+                links.append((name, kind, positions))
+        self.scalars = tuple(scalars)
+        self.strings = tuple(strings)
+        self.links = tuple(links)
+
+
+def _is_node_type(hint) -> bool:
+    """A node class, or a Union (Optional included) of node classes."""
+    if get_origin(hint) is Union:
+        members = [arg for arg in get_args(hint) if arg is not type(None)]
+        return bool(members) and all(map(_is_node_type, members))
+    return isinstance(hint, type) and issubclass(hint, Node)
+
+
+def _is_scalar_type(hint) -> bool:
+    if get_origin(hint) is Union:
+        return all(arg in _SCALAR_TYPES for arg in get_args(hint))
+    return hint in _SCALAR_TYPES
+
+
+def _field_kind(cls: type, name: str, hint) -> tuple[str, tuple[int, ...]]:
+    """Classify one annotated field; raises on a shape no kernel handles."""
+    if get_origin(hint) is list:
+        (item,) = get_args(hint)
+        if _is_node_type(item):
+            return NODES, ()
+        if item is str:
+            return STRINGS, ()
+        if get_origin(item) is list and _is_node_type(get_args(item)[0]):
+            return ROWS, ()
+        if get_origin(item) is tuple:
+            slots = get_args(item)
+            positions = tuple(i for i, slot in enumerate(slots) if _is_node_type(slot))
+            if positions and all(_is_node_type(s) or s is str for s in slots):
+                return PAIRS, positions
+    elif _is_node_type(hint):
+        return NODE, ()
+    elif _is_scalar_type(hint):
+        return SCALAR, ()
+    raise TypeError(f"cannot classify field {cls.__name__}.{name}: {hint!r}")
+
+
+def _children(node: Node, links) -> list[Node]:
+    out: list[Node] = []
+    for name, kind, positions in links:
+        value = getattr(node, name)
+        if kind is NODE:
+            if value is not None:
+                out.append(value)
+        elif kind is NODES:
+            out.extend(value)
+        elif kind is PAIRS:
+            for pair in value:
+                for index in positions:
+                    out.append(pair[index])
+        else:  # ROWS
+            for row in value:
+                out.extend(row)
+    return out
 
 
 def walk(node: Node) -> Iterator[Node]:
-    """Pre-order traversal over *node* and all descendants."""
+    """Pre-order traversal over *node* and all descendants.
+
+    A node's children are read after the caller has seen the node, so a
+    caller that splices a node's fields during the walk visits the new
+    subtrees (:func:`repro.sql.transform.rewrite_leaves` relies on it).
+    """
     stack = [node]
+    pop, push = stack.pop, stack.extend
     while stack:
-        current = stack.pop()
+        current = pop()
         yield current
-        stack.extend(reversed(list(current.children())))
-
-
-def _clone_value(value):
-    if isinstance(value, Node):
-        return clone(value)
-    if isinstance(value, list):
-        return [_clone_value(item) for item in value]
-    if isinstance(value, tuple):
-        return tuple(_clone_value(item) for item in value)
-    return value  # str/int/float/bool/None — immutable leaves
+        links = LAYOUTS[current.__class__].links
+        if links:
+            found = _children(current, links)
+            found.reverse()
+            push(found)
 
 
 def clone(node: Node) -> Node:
@@ -129,9 +213,30 @@ def clone(node: Node) -> Node:
     be mutated, so a carried-over hash would immediately go stale.
     """
     cls = node.__class__
+    layout = LAYOUTS[cls]
     copy = cls.__new__(cls)
-    for name in _field_names(cls):
-        setattr(copy, name, _clone_value(getattr(node, name)))
+    for name in layout.scalars:
+        setattr(copy, name, getattr(node, name))
+    for name in layout.strings:
+        setattr(copy, name, list(getattr(node, name)))
+    for name, kind, positions in layout.links:
+        value = getattr(node, name)
+        if kind is NODE:
+            if value is not None:
+                value = clone(value)
+        elif kind is NODES:
+            value = [clone(item) for item in value]
+        elif kind is PAIRS:
+            value = [
+                tuple(
+                    clone(slot) if index in positions else slot
+                    for index, slot in enumerate(pair)
+                )
+                for pair in value
+            ]
+        else:  # ROWS
+            value = [[clone(item) for item in row] for row in value]
+        setattr(copy, name, value)
     if _DEBUG_CLONE_SHASH:
         assert not hasattr(copy, "_shash"), (
             f"clone() must never carry the _shash cache across a mutating "
@@ -169,7 +274,9 @@ def structural_hash(node: Node, *, fresh: bool = False) -> int:
     cls = node.__class__
     result = hash(
         (cls.__qualname__,)
-        + tuple(_hash_value(getattr(node, name), fresh) for name in _field_names(cls))
+        + tuple(
+            _hash_value(getattr(node, name), fresh) for name in LAYOUTS[cls].names
+        )
     )
     if not fresh:
         node._shash = result
@@ -498,12 +605,6 @@ class Insert(Statement):
     rows: list[list[Expr]] = field(default_factory=list)
     query: Optional[Query] = None
 
-    def children(self) -> Iterator[Node]:
-        for row in self.rows:
-            yield from row
-        if self.query is not None:
-            yield self.query
-
 
 @dataclass(eq=False, slots=True)
 class Update(Statement):
@@ -512,12 +613,6 @@ class Update(Statement):
     table: str
     assignments: list[tuple[str, Expr]] = field(default_factory=list)
     where: Optional[Expr] = None
-
-    def children(self) -> Iterator[Node]:
-        for _, expr in self.assignments:
-            yield expr
-        if self.where is not None:
-            yield self.where
 
 
 @dataclass(eq=False, slots=True)
@@ -596,3 +691,12 @@ def statement_type(stmt: Statement) -> str:
                 return "WITH"
             return label
     raise TypeError(f"unknown statement type: {type(stmt).__name__}")
+
+
+#: One layout per concrete node class, keyed by class.  Built after every
+#: class exists so forward references (``"Query"``, ``QueryBody``) resolve.
+LAYOUTS: dict[type, Layout] = {
+    obj: Layout(obj)
+    for obj in list(globals().values())
+    if isinstance(obj, type) and issubclass(obj, Node) and is_dataclass(obj)
+}

@@ -5,6 +5,13 @@ argument selects between the T-SQL flavour the SDSS/SQLShare logs use
 (``SELECT TOP n``, ``dbo.`` qualifiers, ``ISNULL``/``LEN``) and a
 SQLite-executable flavour (``LIMIT n``, qualifiers stripped, functions
 mapped) used by the execution-based equivalence checker.
+
+Statements and expressions dispatch through two tables keyed by node
+class, built once at import from :data:`repro.sql.nodes.LAYOUTS`: every
+concrete statement class maps to its ``_stmt_<Class>`` method and every
+concrete expression class to its ``_expr_<Class>`` method, so a node
+class without a renderer fails the import.  The renderer is stateless;
+:func:`render` reuses one instance per dialect.
 """
 
 from __future__ import annotations
@@ -50,10 +57,10 @@ class Renderer:
     # -- statements ----------------------------------------------------------
 
     def render_statement(self, stmt: n.Statement) -> str:
-        method = getattr(self, f"_stmt_{type(stmt).__name__}", None)
+        method = _STATEMENT_METHODS.get(stmt.__class__)
         if method is None:
             raise RenderError(f"cannot render statement {_node_desc(stmt)}")
-        return method(stmt)
+        return method(self, stmt)
 
     def _stmt_SelectStatement(self, stmt: n.SelectStatement) -> str:
         return self.render_query(stmt.query)
@@ -223,10 +230,10 @@ class Renderer:
     # -- expressions ---------------------------------------------------------
 
     def render_expr(self, expr: n.Expr) -> str:
-        method = getattr(self, f"_expr_{type(expr).__name__}", None)
+        method = _EXPRESSION_METHODS.get(expr.__class__)
         if method is None:
             raise RenderError(f"cannot render expression {_node_desc(expr)}")
-        return method(expr)
+        return method(self, expr)
 
     def _expr_Literal(self, expr: n.Literal) -> str:
         if expr.kind == "string":
@@ -338,6 +345,19 @@ class Renderer:
         return f"CAST({self.render_expr(expr.expr)} AS {expr.type_name})"
 
 
+def _dispatch_table(base: type, prefix: str) -> dict[type, object]:
+    """``{node class: Renderer method}`` for every concrete *base* subclass."""
+    return {
+        cls: getattr(Renderer, f"{prefix}{cls.__name__}")
+        for cls in n.LAYOUTS
+        if issubclass(cls, base)
+    }
+
+
+_STATEMENT_METHODS = _dispatch_table(n.Statement, "_stmt_")
+_EXPRESSION_METHODS = _dispatch_table(n.Expr, "_expr_")
+
+
 _PRECEDENCE = {
     "OR": 1,
     "AND": 2,
@@ -373,9 +393,12 @@ def _needs_parens(child_op: str, parent_op: str, is_right: bool) -> bool:
     return False
 
 
+_RENDERERS = {dialect: Renderer(dialect) for dialect in (TSQL, SQLITE)}
+
+
 def render(node: n.Node, dialect: str = TSQL) -> str:
     """Render a statement, query, table ref or expression to SQL text."""
-    renderer = Renderer(dialect)
+    renderer = _RENDERERS.get(dialect) or Renderer(dialect)
     if isinstance(node, n.Script):
         return "; ".join(
             renderer.render_statement(stmt) for stmt in node.statements

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.sql import nodes as n
-from repro.sql.nodes import _field_names, clone, walk
+from repro.sql.nodes import LAYOUTS, NODE, NODES, PAIRS, clone, walk
 from repro.sql.render import render
 
 __all__ = [
@@ -203,59 +203,66 @@ def qualify_core_refs(core: n.SelectCore, alias: str) -> None:
 def replace_expr(root: n.Node, target: n.Expr, replacement: n.Expr) -> bool:
     """Replace *target* (by identity) anywhere under *root*.
 
-    Handles node-valued fields, nodes inside list fields, and nodes
-    inside tuples inside list fields (``Case.whens``,
-    ``Update.assignments``).  Returns True when a splice happened.
+    Handles node fields, node lists, and the node slots of tuple lists
+    (``Case.whens``, ``Update.assignments``); the inner lists of
+    ``Insert.rows`` are not searched.  Returns True when a splice
+    happened.
     """
     for node in walk(root):
-        for field_name in _field_names(node.__class__):
-            value = getattr(node, field_name)
-            if value is target:
-                setattr(node, field_name, replacement)
-                return True
-            if isinstance(value, list):
+        for name, kind, positions in LAYOUTS[node.__class__].links:
+            value = getattr(node, name)
+            if kind is NODE:
+                if value is target:
+                    setattr(node, name, replacement)
+                    return True
+            elif kind is NODES:
                 for index, item in enumerate(value):
                     if item is target:
                         value[index] = replacement
                         return True
-                    if isinstance(item, tuple):
-                        for sub_index, sub in enumerate(item):
-                            if sub is target:
-                                new_tuple = list(item)
-                                new_tuple[sub_index] = replacement
-                                value[index] = tuple(new_tuple)
-                                return True
+            elif kind is PAIRS:
+                for index, pair in enumerate(value):
+                    for slot in positions:
+                        if pair[slot] is target:
+                            value[index] = pair[:slot] + (replacement,) + pair[slot + 1 :]
+                            return True
     return False
 
 
 def rewrite_leaves(
     root: n.Node,
-    matches: Callable[[object], bool],
+    matches: Callable[[n.Node], bool],
     rebuild: Callable,
 ) -> int:
-    """Replace every field value satisfying *matches* with ``rebuild(value)``.
+    """Replace every node satisfying *matches* with ``rebuild(node)``.
 
-    Walks every node's fields in place — including list items and
-    tuple-in-list items — and returns the number of replacements.  This
-    is the structural-hash-safe way to normalise leaves across a whole
-    tree (the tree being rewritten must be a clone or a fresh build,
-    never a cached shared statement).
+    Walks every node's node fields, node lists and the node slots of
+    tuple lists in place (not the inner lists of ``Insert.rows``) and
+    returns the number of replacements; a tuple counts once however many
+    of its slots matched.  This is the structural-hash-safe way to
+    normalise leaves across a whole tree (the tree being rewritten must
+    be a clone or a fresh build, never a cached shared statement).
     """
     count = 0
     for node in walk(root):
-        for field_name in _field_names(node.__class__):
-            value = getattr(node, field_name)
-            if matches(value):
-                setattr(node, field_name, rebuild(value))
-                count += 1
-            elif isinstance(value, list):
+        for name, kind, positions in LAYOUTS[node.__class__].links:
+            value = getattr(node, name)
+            if kind is NODE:
+                if value is not None and matches(value):
+                    setattr(node, name, rebuild(value))
+                    count += 1
+            elif kind is NODES:
                 for index, item in enumerate(value):
                     if matches(item):
                         value[index] = rebuild(item)
                         count += 1
-                    elif isinstance(item, tuple) and any(matches(sub) for sub in item):
+            elif kind is PAIRS:
+                for index, pair in enumerate(value):
+                    hits = [slot for slot in positions if matches(pair[slot])]
+                    if hits:
                         value[index] = tuple(
-                            rebuild(sub) if matches(sub) else sub for sub in item
+                            rebuild(item) if slot in hits else item
+                            for slot, item in enumerate(pair)
                         )
                         count += 1
     return count

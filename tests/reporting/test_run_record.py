@@ -192,10 +192,10 @@ class TestAnalysisCacheStats:
         from repro.sql import analysis_cache
 
         analysis_cache.clear_caches()
+        runner = ExperimentRunner(max_instances=4, cache_dir=tmp_path / "c")
         texts = [f"SELECT c{i} FROM t{i}" for i in range(3)]
         for text in texts + texts:  # 3 misses, then 3 hits
             analysis_cache.try_parse_cached(text)
-        runner = ExperimentRunner(max_instances=4, cache_dir=tmp_path / "c")
         runner.run_cell("gpt4", "syntax_error", "sdss")
         record = runner.run_record()
         runner.close()
@@ -209,6 +209,29 @@ class TestAnalysisCacheStats:
         # Every memo miss runs exactly one raw parse — the provenance
         # counters must agree with each other.
         assert stats["parse_misses"] == stats["raw_parses"]
+        analysis_cache.clear_caches()
+
+    def test_runs_in_one_process_count_only_their_own_work(self):
+        """Consecutive runs in one process (as ``repro serve`` runs jobs)
+        split the process's memo counters between their records instead
+        of each record carrying every earlier run's work."""
+        from repro.sql import analysis_cache
+
+        analysis_cache.clear_caches()
+        analysis_cache.try_parse_cached("SELECT before_any_run FROM t")
+        start = analysis_cache.counters()
+        records = []
+        for seed in (1, 2):
+            runner = ExperimentRunner(seed=seed, max_instances=4)
+            runner.run_cell("gpt4", "miss_token", "sdss")
+            runner.run_cell("gpt4", "query_exp", "spider")
+            records.append(runner.run_record().analysis_cache_stats)
+            runner.close()
+        total = analysis_cache.counters().since(start).as_dict()
+        first, second = records
+        assert first["raw_parses"] > 0 and first["raw_tokenizes"] > 0
+        for key, value in total.items():
+            assert first[key] + second[key] == value, key
         analysis_cache.clear_caches()
 
 

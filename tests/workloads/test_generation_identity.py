@@ -6,6 +6,10 @@ themselves at several seeds, including one of the fresh seeds the
 ``serve`` benchmark submits (``N*100000+1``), so a change to a generator
 that keeps seed 0 intact but moves another seed still fails.  They were
 captured before the padding loops switched to incremental word counts.
+The synthetic entries pin all seven profiles at ``n=40``; they were
+captured before the AST kernels (``walk``, ``clone``, the splicing
+helpers the generator's normal-form pass uses) switched to per-class
+field layouts.
 
 The second test guards the padding loops against going quadratic again:
 a loop that re-renders the whole statement on every growth step computes
@@ -58,6 +62,27 @@ EXPECTED_DIGESTS = {
     ("spider", 6): "5c8d87976b1b15f7b63d080824e3305186ef9699ca1f3255f9ea56720b9da0d3",
     ("spider", 7): "c14cd8c9e185ac6c00b9299d8132d64d8c568471bb617b462ac70b0c56023585",
     ("spider", 100001): "eb6267d8cebd97ec08ba452b2b70ff168802a7b96352522746a7f9ddf7b59ef0",
+    ("synthetic:aggregation:n=40", 0): "49d049d144a13f323f01c00f9d638921e2d41d9b31e6b3df1d70e3ff431e9dd3",
+    ("synthetic:aggregation:n=40", 1): "3959fc1844dd4879f7439b721701893ad1431cae72118618fdbb194e1b27e945",
+    ("synthetic:aggregation:n=40", 100001): "a67678de5c2002f008d8be2c377d3f0dcdced30b1bddd12c15c19fbed3a1e2f3",
+    ("synthetic:default:n=40", 0): "67ac9b3a69c6ecb77d1219f90d0d9a1cb4b37e8aaca49f489a50d32e0fb5c5a4",
+    ("synthetic:default:n=40", 1): "d15eb676f4ee6c86f9a72b002a85a577c4e8e161237f4cc7a87e5ba598597117",
+    ("synthetic:default:n=40", 100001): "a9e10ddca120b38ba4a9ba5431cb80527d7611e8fbb8a226c4b5af4492a19b98",
+    ("synthetic:joins:n=40", 0): "7d65c5597c1e879b994335b6f51db7f1911d89ff1b51f17159923781d9b159a2",
+    ("synthetic:joins:n=40", 1): "24cefd9860d08b83ad53dfb4f9005f0ffdf582f6348df6fae84dbf0d8fbd5f61",
+    ("synthetic:joins:n=40", 100001): "8be64efb58bdb9cab4f3a6a67d6aeb6e6dfded4ba3a067b0c5fd963b6400a8f6",
+    ("synthetic:nesting:n=40", 0): "52566f808ccaa5762200ae5f40da619d1dc3d6ab9bc8aed86816c64ec978c13f",
+    ("synthetic:nesting:n=40", 1): "7fd2665a8478b54dd4215510c8c82a88906850f39740f25fd5bfab0a1751d91f",
+    ("synthetic:nesting:n=40", 100001): "021ec22e2ad85c7e54ec8da7de79cc3951f5a6b3445018902ed526aaffb53bcc",
+    ("synthetic:predicates:n=40", 0): "d72fea2f0aa7676e04cb9ed297caa5e51ae72753148905ac7fa7334db8a3c950",
+    ("synthetic:predicates:n=40", 1): "1253e7ce9231bb4ddfaa9cf4d52d289808f77827e7a17722a432e80afa1d92e4",
+    ("synthetic:predicates:n=40", 100001): "5efd29ae464871b44648d45007b640483d9820c7eaf83ffc96707a2147697aee",
+    ("synthetic:rewrite:n=40", 0): "7f1300da40345db02099da8ca44712ae97e8909d4aee2a47ed56142b248c48d2",
+    ("synthetic:rewrite:n=40", 1): "fa5bb9813275e1db30429d92769db9bcec25a7af9936f22208d60a400237534d",
+    ("synthetic:rewrite:n=40", 100001): "7d8eceae9c1bd30a7cb2f75fe656e65bf91fd51b7c729f9bb10230f34f0feadf",
+    ("synthetic:setops:n=40", 0): "6987d8541e609197e842311b87804431f7f61e820b463ede30dc27fd768f1f3c",
+    ("synthetic:setops:n=40", 1): "995244a8c4824c2be00f3f99e3c12f64be222e2855f2938bbfd8a93425ec88d7",
+    ("synthetic:setops:n=40", 100001): "ebe0bd10f6defac68660ff507b48f1fc3bf0d3e726649ad47f84ab524a68b652",
 }
 
 
