@@ -10,19 +10,21 @@ from repro.evalfw.metrics import binary_metrics
 from repro.evalfw.report import render_table
 from repro.llm.profiles import MODEL_PROFILES
 from repro.prompts import build_few_shot_prompt, prompt_for
-from repro.tasks.registry import ask
 
 
 def _evaluate(runner, prompt):
     dataset = runner.dataset("syntax_error", "sdss")
     exemplar_ids = {i.instance_id for i in dataset.instances[:3]}
-    held_out = [i for i in dataset.instances if i.instance_id not in exemplar_ids]
     rows = []
     for profile in MODEL_PROFILES:
-        client = runner.client(profile.name)
-        answers = [ask("syntax_error", client, instance, prompt) for instance in held_out]
+        cell = runner.run_cell(profile.name, "syntax_error", "sdss", prompt)
+        held_out = [
+            (instance, answer)
+            for instance, answer in zip(cell.dataset.instances, cell.answers)
+            if instance.instance_id not in exemplar_ids
+        ]
         metrics = binary_metrics(
-            [bool(i.label) for i in held_out], [a.predicted for a in answers]
+            [bool(i.label) for i, _ in held_out], [a.predicted for _, a in held_out]
         )
         rows.append((profile.display_name, metrics))
     return rows

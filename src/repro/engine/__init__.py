@@ -9,7 +9,8 @@ Public surface:
   :func:`workload_key` — the content-addressed on-disk cache for cells,
   datasets and workloads;
 * :class:`ChunkSpec` / :func:`evaluate_chunk` — one chunk of one cell,
-  carrying its instances, as a queue worker evaluates it.
+  carrying its instances, as the in-process loop and the queue workers
+  answer it.
 """
 
 from repro.engine.cache import (

@@ -34,7 +34,7 @@ endpoint or a record/replay fixture store otherwise.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
@@ -44,7 +44,7 @@ from repro.engine.cache import (
     dataset_key,
     prompt_fingerprint,
 )
-from repro.engine.worker import ChunkSpec, DatasetBuild, answer_chunk
+from repro.engine.worker import AnswerState, ChunkSpec, DatasetBuild, evaluate_chunk
 from repro.lifecycle import (
     CELL_COMMITTED,
     CELL_DEGRADED,
@@ -61,17 +61,11 @@ from repro.llm.backends import (
     DEFAULT_BREAKER_THRESHOLD,
     DEFAULT_MAX_CONCURRENCY,
     SIMULATED_SPEC,
-    AsyncDispatcher,
     BackendError,
     BackendSpec,
-    BreakerState,
-    CircuitBreaker,
     DeadlineExceededError,
-    ModelBackend,
-    create_backend,
 )
 from repro.llm.profiles import MODEL_PROFILES, ModelProfile
-from repro.llm.simulated import SimulatedLLM
 from repro.prompts.templates import PromptTemplate
 from repro.sql.analysis_cache import counters as analysis_counters
 from repro.tasks.base import ModelAnswer, TaskDataset, TaskInstance
@@ -221,16 +215,9 @@ class ExperimentEngine:
         self.cell_log: list[CellLog] = []
         self._workloads: dict[str, Workload] = {}
         self._datasets: dict[tuple[str, str], TaskDataset] = {}
-        #: Lazily built: evaluation goes through backend_for(); direct
-        #: simulator access survives for ablation harnesses only.
-        self._clients: dict[str, SimulatedLLM] = {}
-        self._backends: dict[str, ModelBackend] = {}
-        #: Shared token-bucket fill level for the in-process loop, so
-        #: --rps is sustained across cells instead of re-bursting per cell.
-        self._bucket_state = None
-        #: Shared circuit-breaker health for the in-process loop: a
-        #: backend that tripped during one cell stays tripped for the next.
-        self._breaker_state: Optional[BreakerState] = None
+        #: Backends, token bucket and breaker health of the in-process
+        #: loop, kept across its chunks and cells.
+        self._answer_state = AnswerState()
         #: Lifecycle hooks, wired by the CLI: a write-ahead journal for
         #: crash-safe resume, a graceful-interrupt latch polled at the
         #: engine's checkpoints, and an optional per-commit callback
@@ -293,20 +280,6 @@ class ExperimentEngine:
             self.cache.put_dataset(
                 self._dataset_disk_key(task, workload_name), dataset
             )
-
-    def client(self, model_name: str) -> SimulatedLLM:
-        """Direct simulator access (ablation harnesses; not the grid path)."""
-        if model_name not in self._clients:
-            self._clients[model_name] = SimulatedLLM(self.profile(model_name))
-        return self._clients[model_name]
-
-    def backend_for(self, model_name: str) -> ModelBackend:
-        """The configured backend instance for one model (memoised)."""
-        if model_name not in self._backends:
-            self._backends[model_name] = create_backend(
-                self.config.backend, self.profile(model_name)
-            )
-        return self._backends[model_name]
 
     def _backend_is_recording(self) -> bool:
         """Whether runs exist for their side effects (fixture writing)."""
@@ -400,19 +373,6 @@ class ExperimentEngine:
         self.failures.append(failure)
         self._journal_cell(model, task, workload, state, failure)
 
-    def _inline_breaker(self) -> Optional[CircuitBreaker]:
-        """The in-process loop's circuit breaker (shared health across cells)."""
-        threshold = self.config.resolved_breaker_threshold()
-        if threshold is None:
-            return None
-        if self._breaker_state is None:
-            self._breaker_state = BreakerState()
-        return CircuitBreaker(
-            threshold=threshold,
-            state=self._breaker_state,
-            backend_name=self.config.backend.name,
-        )
-
     # -- lifecycle ---------------------------------------------------------
 
     @property
@@ -438,11 +398,7 @@ class ExperimentEngine:
         # the run record; only its worker pool is torn down.
         if self._streaming is not None:
             self._streaming.close()
-        for backend in self._backends.values():
-            closer = getattr(backend, "close", None)
-            if closer is not None:
-                closer()
-        self._backends.clear()
+        self._answer_state.close()
 
     def __enter__(self) -> "ExperimentEngine":
         return self
@@ -771,7 +727,11 @@ class ExperimentEngine:
         instances: Sequence[TaskInstance],
         prompt: Optional[PromptTemplate],
     ) -> ChunkSpec:
-        """One chunk as a queue worker evaluates it (full cell deadline)."""
+        """One chunk for :func:`evaluate_chunk`, with the full cell deadline.
+
+        The in-process loop narrows the deadline to what is left of the
+        cell's budget; the queue grants each chunk all of it.
+        """
         config = self.config
         return ChunkSpec(
             profile=profile,
@@ -789,14 +749,11 @@ class ExperimentEngine:
     def _run_inline(self, cell: "CellWork") -> None:
         """The in-process loop (``workers=1``): one cell's chunks, in order.
 
-        Each chunk's requests go through the async dispatcher as one
-        batch (bounded concurrency, rate limiting, retries) instead of
-        one blocking call at a time — with the simulated backend the
-        answers are byte-identical either way, and with an HTTP backend
-        the chunk's requests overlap on the wire.  The backend, token
-        bucket and breaker health are the engine's, and the cell
-        deadline is spent cumulatively across the cell's chunks.  As on
-        the work queue, the cell's outcome goes to ``cell.on_done``.
+        Each chunk goes through :func:`~repro.engine.worker.evaluate_chunk`,
+        exactly as on a queue worker, with the engine's
+        :class:`~repro.engine.worker.AnswerState`.  Unlike the queue, the
+        cell deadline is spent cumulatively across the cell's chunks.  As
+        on the work queue, the cell's outcome goes to ``cell.on_done``.
         """
         deadline = self.config.cell_deadline
         cell_started = time.monotonic()
@@ -805,7 +762,7 @@ class ExperimentEngine:
                 self._checkpoint()
                 if self._streaming is not None:
                     self._streaming.raise_fault(index)
-                remaining: Optional[float] = None
+                chunk = spec
                 if deadline is not None:
                     remaining = deadline - (time.monotonic() - cell_started)
                     if remaining <= 0:
@@ -813,25 +770,9 @@ class ExperimentEngine:
                             f"cell deadline of {deadline}s exceeded before "
                             f"chunk {index} ({spec.profile.name}/{spec.task})"
                         )
-                dispatcher = AsyncDispatcher(
-                    self.backend_for(spec.profile.name),
-                    max_concurrency=self.config.max_concurrency,
-                    rps=self.config.rps,
-                    bucket_state=self._bucket_state,
-                    request_timeout=self.config.request_timeout,
-                    breaker=self._inline_breaker(),
-                )
-                started = time.perf_counter()
-                answers = answer_chunk(
-                    dispatcher,
-                    spec.profile,
-                    spec.task,
-                    spec.instances,
-                    spec.prompt,
-                    remaining,
-                )
-                self._bucket_state = dispatcher.bucket_state
-                cell.on_merged(index, spec, answers, time.perf_counter() - started)
+                    chunk = replace(spec, deadline=remaining)
+                answers, seconds = evaluate_chunk(chunk, self._answer_state)
+                cell.on_merged(index, spec, answers, seconds)
         except Exception as error:
             cell.on_done(error)
             return

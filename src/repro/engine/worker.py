@@ -6,9 +6,7 @@ work:
 
 * a :class:`ChunkSpec` — answer one chunk of one cell.  The chunk
   carries its instances inline; :func:`evaluate_chunk` batches their
-  requests through the async dispatcher to the spec's backend (backends,
-  token buckets and breaker health are memoised per worker process, so
-  replay stores and HTTP pools survive across chunks);
+  requests through the async dispatcher to the spec's backend;
 * a :class:`DatasetBuild` — build every missing dataset of one workload,
   so the parent can overlap dataset construction across workloads.  A
   worker loads each workload once for the pool's lifetime (later builds
@@ -16,11 +14,13 @@ work:
   deterministic in its arguments, so the datasets shipped back are
   identical to what the parent would build.
 
-:func:`answer_chunk` is the one chunk protocol (render, dispatch,
-extract) shared by the queue workers and the engine's in-process loop.
-Everything crossing the process boundary is plain picklable dataclasses,
-and every answer depends only on ``(model, task, instance_id)`` — which
-is why any worker count yields byte-identical results.
+:func:`evaluate_chunk` is the one chunk protocol (render, dispatch,
+extract), shared by the queue workers and the engine's in-process loop.
+Each of those owns one :class:`AnswerState`, which keeps backends,
+token buckets and breaker health across its chunks.  Everything
+crossing the process boundary is plain picklable dataclasses, and every
+answer depends only on ``(model, task, instance_id)`` — which is why any
+worker count yields byte-identical results.
 """
 
 from __future__ import annotations
@@ -38,25 +38,17 @@ from repro.llm.backends import (
     BackendError,
     BackendSpec,
     ModelBackend,
+    ModelRequest,
     create_backend,
 )
 from repro.llm.backends.dispatch import BreakerState, BucketState, CircuitBreaker
+from repro.llm.base import LLMResponse
 from repro.llm.profiles import ModelProfile
 from repro.prompts.templates import PromptTemplate
 from repro.tasks.base import ModelAnswer, TaskDataset, TaskInstance
 from repro.tasks.registry import answers_from_responses, build_dataset, build_request
 from repro.workloads import load_workload
 from repro.workloads.base import Workload
-
-_BACKENDS: dict[tuple[BackendSpec, str], tuple[ModelProfile, ModelBackend]] = {}
-#: Token-bucket fill levels, shared across this process's chunk batches
-#: so ``rps`` is a sustained per-process rate (aggregate rate across a
-#: pool is ~``workers x rps``; size --rps accordingly).
-_BUCKET_STATES: dict[tuple[BackendSpec, float], BucketState] = {}
-#: Circuit-breaker health per backend, shared across this process's
-#: chunk batches: a backend that tripped during one chunk stays tripped
-#: for the next instead of re-earning a full retry ladder.
-_BREAKER_STATES: dict[BackendSpec, BreakerState] = {}
 
 
 @dataclass(frozen=True)
@@ -105,68 +97,89 @@ class ChunkTask:
     fault: Optional[str] = None
 
 
-def _backend(spec: BackendSpec, profile: ModelProfile) -> ModelBackend:
-    """Per-process backend memo (replay stores, HTTP pools survive chunks)."""
-    memo_key = (spec, profile.name)
-    cached = _BACKENDS.get(memo_key)
-    if cached is None or cached[0] != profile:
-        _BACKENDS[memo_key] = (profile, create_backend(spec, profile))
-    return _BACKENDS[memo_key][1]
+class AnswerState:
+    """What answering reuses across chunks: backends, buckets, breakers.
+
+    Backends are memoised so replay stores and HTTP pools survive
+    across chunks.  Token-bucket fill levels are kept so ``rps`` is a
+    sustained rate instead of a fresh burst per chunk (the aggregate
+    rate across a pool is ~``workers x rps``; size --rps accordingly).
+    Breaker health is kept so a backend that tripped during one chunk
+    stays tripped for the next instead of re-earning a full retry
+    ladder.  Each queue-worker process and each engine's in-process
+    loop owns one; ``repro serve`` runs one engine per job, so jobs
+    never share one.
+    """
+
+    def __init__(self) -> None:
+        self._backends: dict[tuple[BackendSpec, str], tuple[ModelProfile, ModelBackend]] = {}
+        self._buckets: dict[tuple[BackendSpec, Optional[float]], BucketState] = {}
+        self._breakers: dict[BackendSpec, BreakerState] = {}
+
+    def _backend(self, spec: BackendSpec, profile: ModelProfile) -> ModelBackend:
+        memo_key = (spec, profile.name)
+        cached = self._backends.get(memo_key)
+        if cached is None or cached[0] != profile:
+            self._backends[memo_key] = (profile, create_backend(spec, profile))
+        return self._backends[memo_key][1]
+
+    def dispatch(
+        self, spec: ChunkSpec, requests: Sequence[ModelRequest]
+    ) -> list[LLMResponse]:
+        """Run one chunk's requests as one dispatch batch."""
+        breaker = None
+        if spec.breaker_threshold > 0:
+            breaker = CircuitBreaker(
+                threshold=spec.breaker_threshold,
+                state=self._breakers.setdefault(spec.backend, BreakerState()),
+                backend_name=spec.backend.name,
+            )
+        bucket_key = (spec.backend, spec.rps)
+        dispatcher = AsyncDispatcher(
+            self._backend(spec.backend, spec.profile),
+            max_concurrency=spec.max_concurrency,
+            rps=spec.rps,
+            bucket_state=self._buckets.get(bucket_key),
+            request_timeout=spec.request_timeout,
+            breaker=breaker,
+        )
+        responses = dispatcher.run_sync(requests, deadline_seconds=spec.deadline)
+        if dispatcher.bucket_state is not None:
+            self._buckets[bucket_key] = dispatcher.bucket_state
+        return responses
+
+    def close(self) -> None:
+        """Release every memoised backend (idempotent)."""
+        for _, backend in self._backends.values():
+            closer = getattr(backend, "close", None)
+            if closer is not None:
+                closer()
+        self._backends.clear()
 
 
-def answer_chunk(
-    dispatcher: AsyncDispatcher,
-    profile: ModelProfile,
-    task: str,
-    instances: Sequence[TaskInstance],
-    prompt: Optional[PromptTemplate],
-    deadline: Optional[float],
-) -> list[ModelAnswer]:
-    """Answer one chunk as one dispatch batch, in instance order."""
-    responses = dispatcher.run_sync(
-        [build_request(task, profile.name, instance, prompt) for instance in instances],
-        deadline_seconds=deadline,
-    )
-    return answers_from_responses(task, instances, responses, profile.name)
+def evaluate_chunk(
+    spec: ChunkSpec, state: Optional[AnswerState] = None
+) -> tuple[list[ModelAnswer], float]:
+    """Answer one chunk as one dispatch batch: ``(answers, seconds)``.
 
-
-def evaluate_chunk(spec: ChunkSpec) -> tuple[list[ModelAnswer], float]:
-    """Evaluate one chunk in a queue worker: ``(answers, seconds)``.
-
-    ``seconds`` is the chunk's wall time inside the worker — the parent
-    sums these into per-cell compute time for provenance (chunks of
-    different cells overlap, so the parent's own clock cannot attribute
-    time to cells).
+    ``state`` is the caller's :class:`AnswerState` (a fresh one when
+    omitted).  ``seconds`` is the chunk's wall time — on the queue the
+    parent sums the workers' times into per-cell compute time for
+    provenance (chunks of different cells overlap, so the parent's own
+    clock cannot attribute time to cells).
     """
     started = time.perf_counter()
-    bucket_key = (spec.backend, spec.rps or 0.0)
-    breaker = None
-    if spec.breaker_threshold > 0:
-        breaker = CircuitBreaker(
-            threshold=spec.breaker_threshold,
-            state=_BREAKER_STATES.setdefault(spec.backend, BreakerState()),
-            backend_name=spec.backend.name,
-        )
-    dispatcher = AsyncDispatcher(
-        _backend(spec.backend, spec.profile),
-        max_concurrency=spec.max_concurrency,
-        rps=spec.rps,
-        bucket_state=(
-            _BUCKET_STATES.get(bucket_key) if spec.rps is not None else None
-        ),
-        request_timeout=spec.request_timeout,
-        breaker=breaker,
+    state = state if state is not None else AnswerState()
+    responses = state.dispatch(
+        spec,
+        [
+            build_request(spec.task, spec.profile.name, instance, spec.prompt)
+            for instance in spec.instances
+        ],
     )
-    answers = answer_chunk(
-        dispatcher,
-        spec.profile,
-        spec.task,
-        list(spec.instances),
-        spec.prompt,
-        spec.deadline,
+    answers = answers_from_responses(
+        spec.task, spec.instances, responses, spec.profile.name
     )
-    if spec.rps is not None and dispatcher.bucket_state is not None:
-        _BUCKET_STATES[bucket_key] = dispatcher.bucket_state
     return answers, time.perf_counter() - started
 
 
@@ -215,6 +228,7 @@ def stream_worker_main(task_queue, result_queue) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     pid = os.getpid()
     workloads: dict[tuple[str, int], Workload] = {}
+    answer_state = AnswerState()
     while True:
         item = task_queue.get()
         if item is None:
@@ -227,7 +241,7 @@ def stream_worker_main(task_queue, result_queue) -> None:
             if isinstance(item.spec, DatasetBuild):
                 payload = build_workload_datasets(item.spec, workloads)
             else:
-                payload = evaluate_chunk(item.spec)
+                payload = evaluate_chunk(item.spec, answer_state)
             result_queue.put(("ok", pid, item.cell, item.chunk, payload))
         except BackendError as error:
             result_queue.put(("error", pid, item.cell, item.chunk, error))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.evalfw.metrics import classify_binary
 from repro.tasks.base import ModelAnswer, TaskInstance
 
 TP = "TP"
@@ -16,10 +17,7 @@ OUTCOMES: tuple[str, ...] = (TP, TN, FP, FN)
 
 def outcome(truth: bool, prediction: Optional[bool]) -> str:
     """The confusion cell for one example (None prediction = wrong)."""
-    effective = prediction if prediction is not None else (not truth)
-    if truth:
-        return TP if effective else FN
-    return FP if effective else TN
+    return classify_binary(truth, prediction).upper()
 
 
 def outcome_of(instance: TaskInstance, answer: ModelAnswer) -> str:

@@ -17,7 +17,6 @@ from repro.engine.core import EngineConfig, ExperimentEngine
 from repro.evalfw.accumulate import CellResult
 from repro.llm.backends import DEFAULT_MAX_CONCURRENCY, BackendSpec, SIMULATED_SPEC
 from repro.llm.profiles import MODEL_PROFILES, ModelProfile
-from repro.llm.simulated import SimulatedLLM
 from repro.prompts.templates import PromptTemplate
 from repro.tasks.base import TaskDataset
 from repro.workloads.base import Workload
@@ -72,9 +71,6 @@ class ExperimentRunner:
 
     def dataset(self, task: str, workload_name: str) -> TaskDataset:
         return self.engine.dataset(task, workload_name)
-
-    def client(self, model_name: str) -> SimulatedLLM:
-        return self.engine.client(model_name)
 
     def close(self) -> None:
         """Release the engine's worker pool, if one was started."""

@@ -139,10 +139,10 @@ def request_from_payload(
         f"{key}={value}" for key, value in sorted(options.items())
     )
 
-    def _int(key: str) -> Optional[int]:
+    def _int(key: str, default: Optional[int] = None) -> Optional[int]:
         value = payload.get(key)
         if value is None:
-            return None
+            return default
         if isinstance(value, bool) or not isinstance(value, int):
             raise RunRequestError(f"{key} must be an integer, got {value!r}")
         return value
@@ -155,18 +155,30 @@ def request_from_payload(
             raise RunRequestError(f"{key} must be a number, got {value!r}")
         return float(value)
 
+    def _str(key: str) -> Optional[str]:
+        value = payload.get(key)
+        if value is not None and not isinstance(value, str):
+            raise RunRequestError(f"{key} must be a string, got {value!r}")
+        return value
+
+    record_fixtures = payload.get("record_fixtures", False)
+    if not isinstance(record_fixtures, bool):
+        raise RunRequestError(
+            f"record_fixtures must be true or false, got {record_fixtures!r}"
+        )
+
     on_cell_error = payload.get("on_cell_error", "fail")
     if on_cell_error not in ("fail", "skip", "degrade"):
         raise RunRequestError(
             f"on_cell_error must be fail, skip or degrade, got {on_cell_error!r}"
         )
-    fixtures_dir = payload.get("fixtures_dir")
+    fixtures_dir = _str("fixtures_dir")
     return RunRequest(
         artifacts=tuple(artifacts),
-        workload=payload.get("workload"),
-        strata=payload.get("strata"),
-        seed=_int("seed") or 0,
-        workers=_int("workers") or 1,
+        workload=_str("workload"),
+        strata=_str("strata"),
+        seed=_int("seed", 0),
+        workers=_int("workers", 1),
         chunk_size=_int("chunk_size"),
         cache_dir=cache_dir,
         runs_dir=runs_dir,
@@ -175,14 +187,14 @@ def request_from_payload(
         backend=str(payload.get("backend", "simulated")),
         backend_opts=backend_opts,
         fixtures_dir=Path(fixtures_dir) if fixtures_dir else None,
-        record_fixtures=bool(payload.get("record_fixtures", False)),
+        record_fixtures=record_fixtures,
         max_concurrency=_int("max_concurrency"),
         rps=_float("rps"),
         on_cell_error=on_cell_error,
         request_timeout=_float("request_timeout"),
         cell_deadline=_float("cell_deadline"),
         breaker_threshold=_int("breaker_threshold"),
-        chaos=payload.get("chaos"),
+        chaos=_str("chaos"),
         origin=origin,
         client_id=client_id,
     )

@@ -1,12 +1,12 @@
 """The simulated backend: the five calibrated profiles behind the
 backend protocol.
 
-Wraps :class:`repro.llm.simulated.SimulatedLLM` so the engine's
-dispatcher path produces **byte-identical** responses to the historical
-direct ``ask_*`` path: the same per-task ``answer_*`` method is invoked
-with the same arguments, and all noise remains seeded by
-``(model, task, instance_id)`` — concurrency and dispatch order cannot
-change a single byte of any response.
+Wraps :class:`repro.llm.simulated.SimulatedLLM`: each request is
+answered by the task's ``answer_*`` method, fed the instance riding on
+the request (query text, ground truth, properties) and the prompt's
+quality.  All noise is seeded by ``(model, task, instance_id)``, so
+concurrency and dispatch order cannot change a single byte of any
+response.
 """
 
 from __future__ import annotations

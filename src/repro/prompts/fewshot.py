@@ -55,11 +55,19 @@ class FewShotPrompt:
         bonus = min(len(self.examples) * _PER_EXAMPLE_BONUS, _MAX_BONUS)
         return min(self.base.quality + bonus, 1.1)
 
+    @property
+    def text(self) -> str:
+        """The unrendered prompt, which cache keys fingerprint."""
+        return self._with_examples(self.base.text)
+
     def render(self, **payload: str) -> str:
+        return self._with_examples(self.base.render(**payload))
+
+    def _with_examples(self, body: str) -> str:
         blocks = ["Here are solved examples:"]
         for index, example in enumerate(self.examples, start=1):
             blocks.append(f"Example {index}: {example}")
-        blocks.append(self.base.render(**payload))
+        blocks.append(body)
         return "\n".join(blocks)
 
 

@@ -1,4 +1,5 @@
-"""Task layer: dataset builders and model-interaction functions."""
+"""Task layer: instance generators, dataset builds and the request/parse
+plumbing that turns a task instance into a model answer."""
 
 from repro.tasks.base import (
     MISS_TOKEN,
@@ -15,23 +16,9 @@ from repro.tasks.base import (
     TaskDataset,
     TaskInstance,
 )
-from repro.tasks.equivalence import ask_query_equiv, build_query_equiv_dataset
-from repro.tasks.explanation import (
-    ask_query_exp,
-    build_query_exp_dataset,
-    explanation_overlap_f1,
-)
-from repro.tasks.miss_token import ask_miss_token, build_miss_token_dataset
-from repro.tasks.performance import ask_performance_pred, build_performance_dataset
-from repro.tasks.registry import TASK_WORKLOADS, ask, build_dataset
-from repro.tasks.rewrite import (
-    ask_rewrite_equivalence,
-    ask_rewrite_speedup,
-    build_rewrite_equivalence_dataset,
-    build_rewrite_speedup_dataset,
-)
+from repro.tasks.explanation import explanation_overlap_f1
+from repro.tasks.registry import TASK_WORKLOADS, build_dataset
 from repro.tasks.skills import SKILL_TASK_MAP, render_skill_table, skill_marks
-from repro.tasks.syntax_error import ask_syntax_error, build_syntax_error_dataset
 
 __all__ = [
     "TaskInstance",
@@ -49,21 +36,6 @@ __all__ = [
     "REWRITE_TASKS",
     "TASK_WORKLOADS",
     "build_dataset",
-    "ask",
-    "build_syntax_error_dataset",
-    "ask_syntax_error",
-    "build_miss_token_dataset",
-    "ask_miss_token",
-    "build_query_equiv_dataset",
-    "ask_query_equiv",
-    "build_performance_dataset",
-    "ask_performance_pred",
-    "build_query_exp_dataset",
-    "ask_query_exp",
-    "build_rewrite_equivalence_dataset",
-    "ask_rewrite_equivalence",
-    "build_rewrite_speedup_dataset",
-    "ask_rewrite_speedup",
     "explanation_overlap_f1",
     "SKILL_TASK_MAP",
     "skill_marks",

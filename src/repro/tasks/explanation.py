@@ -9,13 +9,8 @@ annotations for the section 4.5 case study.
 from __future__ import annotations
 
 import re
-from typing import Optional
 
-from repro.llm.simulated import SimulatedLLM
-from repro.prompts.templates import QUERY_EXP as PROMPT_KEY
-from repro.prompts.templates import PromptTemplate, prompt_for
-from repro.tasks.base import QUERY_EXP, ModelAnswer, TaskDataset, TaskInstance
-from repro.workloads.base import Workload
+from repro.tasks.base import QUERY_EXP, ModelAnswer, TaskInstance
 
 _STOPWORDS = frozenset(
     "the a an of for in on to and or with from where by is are that "
@@ -26,9 +21,8 @@ _STOPWORDS = frozenset(
 def iter_query_exp_instances(source):
     """Yield query_exp instances lazily, one per query.
 
-    ``source`` is a :class:`Workload` or ``WorkloadStream``; both the
-    materialised builder and the streaming engine consume this
-    generator, so their instances are identical by construction.
+    Each instance carries the query's gold description.  ``source`` is
+    a :class:`~repro.workloads.base.Workload` or ``WorkloadStream``.
     """
     for query in source:
         yield TaskInstance(
@@ -41,13 +35,6 @@ def iter_query_exp_instances(source):
             source_query_id=query.query_id,
             props=query.properties,
         )
-
-
-def build_query_exp_dataset(workload: Workload) -> TaskDataset:
-    """One instance per Spider query, gold description attached."""
-    dataset = TaskDataset(task=QUERY_EXP, workload=workload.name)
-    dataset.instances.extend(iter_query_exp_instances(workload))
-    return dataset
 
 
 def parse_query_exp_response(
@@ -67,32 +54,6 @@ def parse_query_exp_response(
         response_text=text,
         explanation=text,
         flaws=tuple(flaws),
-    )
-
-
-def ask_query_exp(
-    model: SimulatedLLM,
-    instance: TaskInstance,
-    prompt: Optional[PromptTemplate] = None,
-    statement=None,
-) -> ModelAnswer:
-    """Prompt the model for an explanation."""
-    template = prompt or prompt_for(PROMPT_KEY)
-    if statement is None:
-        from repro.sql.analysis_cache import try_parse_cached
-
-        statement = try_parse_cached(instance.payload["query"])
-    response = model.answer_explanation(
-        instance.instance_id,
-        instance.payload["query"],
-        statement,
-        prompt_quality=template.quality,
-    )
-    return parse_query_exp_response(
-        instance,
-        response.text,
-        model.name,
-        flaws=tuple(response.metadata.get("flaws", ())),
     )
 
 

@@ -2,16 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.corrupt.missing_tokens import TOKEN_TYPES, remove_token
-from repro.llm.simulated import SimulatedLLM
 from repro.parsing import extract_label, extract_position, extract_yes_no
-from repro.prompts.templates import MISS_TOKEN as PROMPT_KEY
-from repro.prompts.templates import PromptTemplate, prompt_for
-from repro.tasks.base import MISS_TOKEN, ModelAnswer, TaskDataset, TaskInstance
+from repro.tasks.base import MISS_TOKEN, ModelAnswer, TaskInstance
 from repro.util import derive_rng
-from repro.workloads.base import Workload
 
 #: Share of instances left intact (the negative class).
 INTACT_FRACTION = 0.3
@@ -20,9 +14,9 @@ INTACT_FRACTION = 0.3
 def iter_miss_token_instances(source, seed: int = 0):
     """Yield miss_token instances lazily, one per query.
 
-    ``source`` is a :class:`Workload` or ``WorkloadStream``; both the
-    materialised builder and the streaming engine consume this
-    generator, so their instances are identical by construction.
+    One token is removed from a random ~70% of queries; the rest stay
+    intact.  ``source`` is a :class:`~repro.workloads.base.Workload` or
+    ``WorkloadStream``.
     """
     for query in source:
         rng = derive_rng("miss-token-dataset", seed, query.query_id)
@@ -55,13 +49,6 @@ def iter_miss_token_instances(source, seed: int = 0):
             )
 
 
-def build_miss_token_dataset(workload: Workload, seed: int = 0) -> TaskDataset:
-    """Remove one token from a random ~70% of queries; keep the rest intact."""
-    dataset = TaskDataset(task=MISS_TOKEN, workload=workload.name)
-    dataset.instances.extend(iter_miss_token_instances(workload, seed))
-    return dataset
-
-
 def parse_miss_token_response(
     instance: TaskInstance, text: str, model_name: str
 ) -> ModelAnswer:
@@ -74,24 +61,3 @@ def parse_miss_token_response(
         predicted_type=extract_label(text, TOKEN_TYPES),
         predicted_position=extract_position(text),
     )
-
-
-def ask_miss_token(
-    model: SimulatedLLM,
-    instance: TaskInstance,
-    prompt: Optional[PromptTemplate] = None,
-) -> ModelAnswer:
-    """Prompt the model and post-process its compound response."""
-    template = prompt or prompt_for(PROMPT_KEY)
-    response = model.answer_miss_token(
-        instance.instance_id,
-        instance.payload["query"],
-        instance.workload,
-        instance.props,
-        truth_missing=bool(instance.label),
-        truth_token_type=instance.label_type,
-        truth_token=instance.removed_token,
-        truth_position=instance.position,
-        prompt_quality=template.quality,
-    )
-    return parse_miss_token_response(instance, response.text, model.name)

@@ -6,28 +6,16 @@ positive (costly) class.
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.llm.simulated import SimulatedLLM
 from repro.parsing import extract_yes_no
 from repro.perf.cost_model import is_high_cost
-from repro.prompts.templates import PERFORMANCE_PRED as PROMPT_KEY
-from repro.prompts.templates import PromptTemplate, prompt_for
-from repro.tasks.base import (
-    PERFORMANCE_PRED,
-    ModelAnswer,
-    TaskDataset,
-    TaskInstance,
-)
-from repro.workloads.base import Workload
+from repro.tasks.base import PERFORMANCE_PRED, ModelAnswer, TaskInstance
 
 
 def iter_performance_instances(source):
     """Yield performance_pred instances lazily, one per logged query.
 
-    ``source`` is a :class:`Workload` or ``WorkloadStream``; both the
-    materialised builder and the streaming engine consume this
-    generator, so their instances are identical by construction.
+    Each query is labelled costly (>200 ms) or cheap.  ``source`` is a
+    :class:`~repro.workloads.base.Workload` or ``WorkloadStream``.
     """
     for query in source:
         if query.elapsed_ms is None:
@@ -45,13 +33,6 @@ def iter_performance_instances(source):
         )
 
 
-def build_performance_dataset(workload: Workload) -> TaskDataset:
-    """Label every logged query as costly (>200 ms) or cheap."""
-    dataset = TaskDataset(task=PERFORMANCE_PRED, workload=workload.name)
-    dataset.instances.extend(iter_performance_instances(workload))
-    return dataset
-
-
 def parse_performance_pred_response(
     instance: TaskInstance, text: str, model_name: str
 ) -> ModelAnswer:
@@ -62,20 +43,3 @@ def parse_performance_pred_response(
         response_text=text,
         predicted=extract_yes_no(text),
     )
-
-
-def ask_performance_pred(
-    model: SimulatedLLM,
-    instance: TaskInstance,
-    prompt: Optional[PromptTemplate] = None,
-) -> ModelAnswer:
-    """Prompt the model and extract its costly/cheap judgement."""
-    template = prompt or prompt_for(PROMPT_KEY)
-    response = model.answer_performance(
-        instance.instance_id,
-        instance.payload["query"],
-        instance.props,
-        truth_costly=bool(instance.label),
-        prompt_quality=template.quality,
-    )
-    return parse_performance_pred_response(instance, response.text, model.name)

@@ -1,5 +1,11 @@
-"""Task registry: builders, ask-functions and backend request/parse
-plumbing, keyed by task name."""
+"""Task registry: dataset builds and the request/parse plumbing around
+a model backend, keyed by task name.
+
+Every answer takes one route: :func:`build_request` renders an instance
+into a :class:`ModelRequest`, a backend completes it, and
+:func:`parse_answer` extracts a :class:`ModelAnswer` from the response
+text.
+"""
 
 from __future__ import annotations
 
@@ -22,39 +28,16 @@ from repro.tasks.base import (
     TaskDataset,
     TaskInstance,
 )
-from repro.tasks.equivalence import (
-    ask_query_equiv,
-    build_query_equiv_dataset,
-    parse_query_equiv_response,
-)
-from repro.tasks.explanation import (
-    ask_query_exp,
-    build_query_exp_dataset,
-    parse_query_exp_response,
-)
-from repro.tasks.miss_token import (
-    ask_miss_token,
-    build_miss_token_dataset,
-    parse_miss_token_response,
-)
-from repro.tasks.performance import (
-    ask_performance_pred,
-    build_performance_dataset,
-    parse_performance_pred_response,
-)
+from repro.tasks.equivalence import parse_query_equiv_response
+from repro.tasks.explanation import parse_query_exp_response
+from repro.tasks.miss_token import parse_miss_token_response
+from repro.tasks.performance import parse_performance_pred_response
 from repro.tasks.rewrite import (
-    ask_rewrite_equivalence,
-    ask_rewrite_speedup,
-    build_rewrite_equivalence_dataset,
-    build_rewrite_speedup_dataset,
     parse_rewrite_equivalence_response,
     parse_rewrite_speedup_response,
 )
-from repro.tasks.syntax_error import (
-    ask_syntax_error,
-    build_syntax_error_dataset,
-    parse_syntax_error_response,
-)
+from repro.tasks.streaming import iter_task_instances
+from repro.tasks.syntax_error import parse_syntax_error_response
 from repro.workloads.base import Workload
 
 #: Which workloads each task evaluates on (Table 2 usage note + section 3.2).
@@ -90,60 +73,21 @@ def tasks_for_workload(workload_name: str) -> tuple[str, ...]:
         if workload_name in TASK_WORKLOADS.get(task, ())
     )
 
-ASK_FUNCTIONS: dict[str, Callable] = {
-    SYNTAX_ERROR: ask_syntax_error,
-    MISS_TOKEN: ask_miss_token,
-    QUERY_EQUIV: ask_query_equiv,
-    PERFORMANCE_PRED: ask_performance_pred,
-    QUERY_EXP: ask_query_exp,
-    REWRITE_EQUIVALENCE: ask_rewrite_equivalence,
-    REWRITE_SPEEDUP: ask_rewrite_speedup,
-}
-
 
 def build_dataset(
     task: str, workload: Workload, seed: int = 0, max_instances: Optional[int] = None
 ) -> TaskDataset:
-    """Build the labeled dataset for one (task, workload) cell."""
-    if task == SYNTAX_ERROR:
-        dataset = build_syntax_error_dataset(workload, seed)
-    elif task == MISS_TOKEN:
-        dataset = build_miss_token_dataset(workload, seed)
-    elif task == QUERY_EQUIV:
-        dataset = build_query_equiv_dataset(workload, seed, max_pairs=max_instances)
-    elif task == PERFORMANCE_PRED:
-        dataset = build_performance_dataset(workload)
-    elif task == QUERY_EXP:
-        dataset = build_query_exp_dataset(workload)
-    elif task == REWRITE_EQUIVALENCE:
-        dataset = build_rewrite_equivalence_dataset(
-            workload, seed, max_pairs=max_instances
-        )
-    elif task == REWRITE_SPEEDUP:
-        dataset = build_rewrite_speedup_dataset(
-            workload, seed, max_instances=max_instances
-        )
-    else:
-        raise KeyError(
-            f"unknown task {task!r}; expected one of "
-            f"{PRIMARY_TASKS + REWRITE_TASKS}"
-        )
-    if max_instances is not None and task not in (
-        QUERY_EQUIV,
-        REWRITE_EQUIVALENCE,
-        REWRITE_SPEEDUP,
-    ):
-        dataset.instances = dataset.instances[:max_instances]
-    return dataset
+    """Build the labeled dataset for one (task, workload) cell.
 
-
-def ask(task: str, model, instance, prompt=None):
-    """Dispatch to the task's ask-function."""
-    try:
-        fn = ASK_FUNCTIONS[task]
-    except KeyError:
-        raise KeyError(f"unknown task {task!r}") from None
-    return fn(model, instance, prompt)
+    Drains :func:`~repro.tasks.streaming.iter_task_instances`, so a
+    capped build stops its generator at the cap and the streamed path
+    produces the same instances chunk by chunk.
+    """
+    return TaskDataset(
+        task,
+        workload.name,
+        list(iter_task_instances(task, workload, seed, max_instances)),
+    )
 
 
 # -- backend plumbing (prompt rendering and response parsing) --------------
@@ -171,7 +115,7 @@ def build_request(
     the wire; the instance rides along for backends that derive answers
     locally (the simulator's calibrated noise model).
     """
-    if task not in ASK_FUNCTIONS:
+    if task not in PARSE_FUNCTIONS:
         raise KeyError(f"unknown task {task!r}")
     template = prompt or prompt_for(task)
     return ModelRequest(

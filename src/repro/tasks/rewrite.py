@@ -20,26 +20,16 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from repro.llm.simulated import SimulatedLLM
 from repro.parsing import extract_equivalence, extract_label, extract_yes_no
 from repro.perf.cost_model import base_cost_ms
-from repro.prompts.templates import (
-    REWRITE_EQUIVALENCE as EQUIV_PROMPT_KEY,
-)
-from repro.prompts.templates import (
-    REWRITE_SPEEDUP as SPEEDUP_PROMPT_KEY,
-)
-from repro.prompts.templates import PromptTemplate, prompt_for
 from repro.rewrite.pairs import iter_rewrite_pairs
 from repro.sql.properties import extract_properties
 from repro.tasks.base import (
     REWRITE_EQUIVALENCE,
     REWRITE_SPEEDUP,
     ModelAnswer,
-    TaskDataset,
     TaskInstance,
 )
-from repro.workloads.base import Workload
 
 
 def _workload_families(source) -> Optional[tuple[str, ...]]:
@@ -61,9 +51,9 @@ def iter_rewrite_equivalence_instances(
 ) -> Iterator[TaskInstance]:
     """Yield rewrite_equivalence instances lazily from the pair stream.
 
-    ``source`` is a :class:`Workload` or ``WorkloadStream``; both the
-    materialised builder and the streaming engine consume this
-    generator, so their instances are identical by construction.
+    Pairs come from verified multi-step rewrite chains (positives) and
+    counter-transform lookalikes (negatives).  ``source`` is a
+    :class:`~repro.workloads.base.Workload` or ``WorkloadStream``.
     """
     for pair in iter_rewrite_pairs(
         source,
@@ -85,22 +75,6 @@ def iter_rewrite_equivalence_instances(
             props=props,
             detail=pair.detail,
         )
-
-
-def build_rewrite_equivalence_dataset(
-    workload: Workload,
-    seed: int = 0,
-    max_pairs: Optional[int] = None,
-    verify: bool = True,
-) -> TaskDataset:
-    """Build the labeled rewrite-pair dataset via verified chains."""
-    dataset = TaskDataset(task=REWRITE_EQUIVALENCE, workload=workload.name)
-    dataset.instances.extend(
-        iter_rewrite_equivalence_instances(
-            workload, seed=seed, max_pairs=max_pairs, verify=verify
-        )
-    )
-    return dataset
 
 
 def parse_rewrite_equivalence_response(
@@ -127,26 +101,6 @@ def _extract_pair_type(instance: TaskInstance, text: str) -> Optional[str]:
     if instance.label_type is None:
         return None
     return extract_label(text, (instance.label_type,))
-
-
-def ask_rewrite_equivalence(
-    model: SimulatedLLM,
-    instance: TaskInstance,
-    prompt: Optional[PromptTemplate] = None,
-) -> ModelAnswer:
-    """Prompt the model with both queries and post-process the response."""
-    template = prompt or prompt_for(EQUIV_PROMPT_KEY)
-    response = model.answer_equivalence(
-        instance.instance_id,
-        instance.payload["query_1"],
-        instance.payload["query_2"],
-        instance.workload,
-        instance.props,
-        truth_equivalent=bool(instance.label),
-        truth_pair_type=instance.label_type,
-        prompt_quality=template.quality,
-    )
-    return parse_rewrite_equivalence_response(instance, response.text, model.name)
 
 
 # -- rewrite_speedup --------------------------------------------------------
@@ -201,22 +155,6 @@ def iter_rewrite_speedup_instances(
         produced += 1
 
 
-def build_rewrite_speedup_dataset(
-    workload: Workload,
-    seed: int = 0,
-    max_instances: Optional[int] = None,
-    verify: bool = True,
-) -> TaskDataset:
-    """Label each equivalent rewrite chain as a speedup or not."""
-    dataset = TaskDataset(task=REWRITE_SPEEDUP, workload=workload.name)
-    dataset.instances.extend(
-        iter_rewrite_speedup_instances(
-            workload, seed=seed, max_instances=max_instances, verify=verify
-        )
-    )
-    return dataset
-
-
 def parse_rewrite_speedup_response(
     instance: TaskInstance, text: str, model_name: str
 ) -> ModelAnswer:
@@ -227,21 +165,3 @@ def parse_rewrite_speedup_response(
         response_text=text,
         predicted=extract_yes_no(text),
     )
-
-
-def ask_rewrite_speedup(
-    model: SimulatedLLM,
-    instance: TaskInstance,
-    prompt: Optional[PromptTemplate] = None,
-) -> ModelAnswer:
-    """Prompt the model and extract its speedup judgement."""
-    template = prompt or prompt_for(SPEEDUP_PROMPT_KEY)
-    response = model.answer_speedup(
-        instance.instance_id,
-        instance.payload["query_1"],
-        instance.payload["query_2"],
-        instance.props,
-        truth_faster=bool(instance.label),
-        prompt_quality=template.quality,
-    )
-    return parse_rewrite_speedup_response(instance, response.text, model.name)

@@ -1,20 +1,19 @@
-"""Streaming task-instance production.
+"""Task-instance production: the one map from (task, workload) to instances.
 
-The chunked counterpart of :func:`repro.tasks.registry.build_dataset`:
-one generator per task family, each consuming a query stream
+:func:`iter_task_instances` dispatches to one generator per task
+family, each consuming a query stream
 (:class:`~repro.workloads.streaming.WorkloadStream` or a materialised
 :class:`~repro.workloads.base.Workload`) and yielding
-:class:`TaskInstance` values lazily.  Every generator here is the SAME
-code the materialised builders drain, so chunking a stream and slicing
-a built dataset cannot disagree.
+:class:`TaskInstance` values lazily.  :func:`repro.tasks.registry.build_dataset`
+drains it and the streamed engine path chunks it, so a built dataset
+and a chunked stream cannot disagree.
 
-Capping semantics mirror ``build_dataset`` exactly: non-equivalence
-tasks truncate the instance stream after ``max_instances`` (the
-materialised path slices after building — same prefix), query_equiv
-caps during generation via ``max_pairs``.  The streaming win is that
-truncation stops the *producer*: ``synthetic:default:n=1000000`` with
-``--max-instances 1000000`` generates one million queries and then
-stops, instead of materialising all twelve million the spec describes.
+Capping stops the *producer*: most tasks truncate the instance stream
+after ``max_instances``, query_equiv and rewrite_equivalence cap during
+generation via ``max_pairs``, and rewrite_speedup counts the instances
+it emits.  ``synthetic:default:n=1000000`` with ``--max-instances
+1000000`` generates one million queries and then stops, instead of
+materialising all twelve million the spec describes.
 """
 
 from __future__ import annotations
@@ -51,21 +50,20 @@ def iter_task_instances(
     seed: int = 0,
     max_instances: Optional[int] = None,
 ) -> Iterator[TaskInstance]:
-    """Yield one cell's task instances lazily, capped like build_dataset."""
+    """Yield one cell's task instances lazily, at most ``max_instances``."""
     if task == SYNTAX_ERROR:
         instances = iter_syntax_error_instances(source, seed)
     elif task == MISS_TOKEN:
         instances = iter_miss_token_instances(source, seed)
     elif task == QUERY_EQUIV:
-        # max_pairs caps during generation (identical to build_dataset);
-        # no outer islice needed.
+        # max_pairs caps during generation; no outer islice needed.
         return iter_query_equiv_instances(source, seed, max_pairs=max_instances)
     elif task == PERFORMANCE_PRED:
         instances = iter_performance_instances(source)
     elif task == QUERY_EXP:
         instances = iter_query_exp_instances(source)
     elif task == REWRITE_EQUIVALENCE:
-        # max_pairs caps during generation (identical to build_dataset).
+        # max_pairs caps during generation.
         return iter_rewrite_equivalence_instances(
             source, seed, max_pairs=max_instances
         )

@@ -2,17 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.corrupt.structural import STRUCTURAL_TYPES, inject_structural_error
 from repro.corrupt.syntax_errors import ERROR_TYPES, inject_syntax_error
-from repro.llm.simulated import SimulatedLLM
 from repro.parsing import extract_label, extract_yes_no
-from repro.prompts.templates import SYNTAX_ERROR as PROMPT_KEY
-from repro.prompts.templates import PromptTemplate, prompt_for
-from repro.tasks.base import SYNTAX_ERROR, ModelAnswer, TaskDataset, TaskInstance
+from repro.tasks.base import SYNTAX_ERROR, ModelAnswer, TaskInstance
 from repro.util import derive_rng
-from repro.workloads.base import Workload
 
 #: Share of instances left uncorrupted ("error-free" class, section 3.2).
 ERROR_FREE_FRACTION = 0.3
@@ -37,11 +31,16 @@ ALL_ERROR_TYPES: tuple[str, ...] = ERROR_TYPES + STRUCTURAL_TYPES
 def iter_syntax_error_instances(source, seed: int = 0):
     """Yield syntax_error instances lazily, one per parseable query.
 
-    ``source`` is a :class:`Workload` or
+    A random ~70% of queries get one injected error; the rest stay
+    clean.  The error type for each corrupted query is drawn uniformly
+    from the types applicable to that query, mirroring the paper's
+    generation.  Synthetic workloads additionally devote
+    ``STRUCTURAL_FRACTION`` of their corrupted instances to the
+    structural error classes.
+
+    ``source`` is a :class:`~repro.workloads.base.Workload` or
     :class:`~repro.workloads.streaming.WorkloadStream` — anything with
-    ``name``, ``schema_for`` and query iteration.  Both the materialised
-    builder and the streaming engine consume this generator, so their
-    instances are identical by construction.
+    ``name``, ``schema_for`` and query iteration.
     """
     from repro.workloads.synthetic import is_synthetic
 
@@ -90,19 +89,6 @@ def iter_syntax_error_instances(source, seed: int = 0):
             )
 
 
-def build_syntax_error_dataset(workload: Workload, seed: int = 0) -> TaskDataset:
-    """Inject errors into a random ~70% of queries; leave the rest clean.
-
-    The error type for each corrupted query is drawn uniformly from the
-    types applicable to that query, mirroring the paper's generation.
-    Synthetic workloads additionally devote ``STRUCTURAL_FRACTION`` of
-    their corrupted instances to the structural error classes.
-    """
-    dataset = TaskDataset(task=SYNTAX_ERROR, workload=workload.name)
-    dataset.instances.extend(iter_syntax_error_instances(workload, seed))
-    return dataset
-
-
 def parse_syntax_error_response(
     instance: TaskInstance, text: str, model_name: str
 ) -> ModelAnswer:
@@ -118,22 +104,3 @@ def parse_syntax_error_response(
         predicted=extract_yes_no(text),
         predicted_type=extract_label(text, ALL_ERROR_TYPES),
     )
-
-
-def ask_syntax_error(
-    model: SimulatedLLM,
-    instance: TaskInstance,
-    prompt: Optional[PromptTemplate] = None,
-) -> ModelAnswer:
-    """Prompt the model and post-process its verbose response."""
-    template = prompt or prompt_for(PROMPT_KEY)
-    response = model.answer_syntax_error(
-        instance.instance_id,
-        instance.payload["query"],
-        instance.workload,
-        instance.props,
-        truth_has_error=bool(instance.label),
-        truth_error_type=instance.label_type,
-        prompt_quality=template.quality,
-    )
-    return parse_syntax_error_response(instance, response.text, model.name)

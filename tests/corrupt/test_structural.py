@@ -15,7 +15,8 @@ from repro.corrupt.structural import (
 from repro.sql.analysis_cache import try_parse_cached
 from repro.sql.parser import parse_statement
 from repro.sql.render import render
-from repro.tasks.syntax_error import ALL_ERROR_TYPES, build_syntax_error_dataset
+from repro.tasks.registry import build_dataset
+from repro.tasks.syntax_error import ALL_ERROR_TYPES
 from repro.workloads import load_workload
 
 JOINED = (
@@ -102,13 +103,13 @@ class TestDispatch:
 class TestDatasetIntegration:
     def test_synthetic_datasets_mix_in_structural_types(self):
         workload = load_workload("synthetic:default:n=8")
-        dataset = build_syntax_error_dataset(workload, seed=0)
+        dataset = build_dataset("syntax_error", workload, seed=0)
         types = {i.label_type for i in dataset.instances if i.label_type}
         assert types & set(STRUCTURAL_TYPES)
         assert types <= set(ALL_ERROR_TYPES)
 
     def test_paper_workloads_never_get_structural_types(self):
         workload = load_workload("join_order")
-        dataset = build_syntax_error_dataset(workload, seed=0)
+        dataset = build_dataset("syntax_error", workload, seed=0)
         types = {i.label_type for i in dataset.instances if i.label_type}
         assert not types & set(STRUCTURAL_TYPES)

@@ -10,13 +10,13 @@ from repro.prompts import (
     format_example,
     prompt_for,
 )
-from repro.tasks import build_syntax_error_dataset
+from repro.tasks import build_dataset
 from repro.workloads import load_workload
 
 
 @pytest.fixture(scope="module")
 def sdss_dataset():
-    return build_syntax_error_dataset(load_workload("sdss", seed=0), seed=0)
+    return build_dataset("syntax_error", load_workload("sdss", seed=0), seed=0)
 
 
 class TestFewShotPrompt:
@@ -81,6 +81,23 @@ class TestFewShotPrompt:
         zero_shot = recall(prompt_for("syntax_error").quality)
         few_shot = recall(prompt.quality)
         assert few_shot > zero_shot
+
+
+    def test_engine_answers_a_few_shot_cell(self, sdss_dataset):
+        """A few-shot prompt takes the grid's route and gets its own cache key."""
+        from repro.engine.cache import prompt_fingerprint
+        from repro.evalfw.runner import ExperimentRunner
+
+        prompt = build_few_shot_prompt(
+            "syntax_error", sdss_dataset.instances[:3], shots=3
+        )
+        cell = ExperimentRunner(seed=0, max_instances=10).run_cell(
+            "gemini", "syntax_error", "sdss", prompt
+        )
+        assert len(cell.answers) == 10
+        assert prompt_fingerprint("syntax_error", prompt) != prompt_fingerprint(
+            "syntax_error", None
+        )
 
 
 class TestDynamicTuning:

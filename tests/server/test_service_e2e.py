@@ -111,6 +111,19 @@ class TestLifecycle:
                 client.submit({**GRID, "shard_size": 8})
             assert excinfo.value.status == 400
             assert "shard_size" in str(excinfo.value)
+            malformed = {
+                "workload": 5,
+                "strata": 5,
+                "chaos": 5,
+                "fixtures_dir": 5,
+                "record_fixtures": "false",
+                "workers": 0,
+            }
+            for field, value in malformed.items():
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit({**GRID, field: value})
+                assert excinfo.value.status == 400, field
+                assert field in str(excinfo.value)
             assert client.jobs() == []
 
     def test_unknown_job_404(self, tmp_path):

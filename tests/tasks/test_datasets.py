@@ -4,13 +4,7 @@ import pytest
 
 from repro.analysis import SemanticAnalyzer, paper_violations
 from repro.corrupt import ERROR_TYPES, TOKEN_TYPES
-from repro.tasks import (
-    build_miss_token_dataset,
-    build_performance_dataset,
-    build_query_equiv_dataset,
-    build_query_exp_dataset,
-    build_syntax_error_dataset,
-)
+from repro.tasks import build_dataset
 from repro.workloads import load_workload
 
 
@@ -27,7 +21,7 @@ def spider():
 class TestSyntaxErrorDataset:
     @pytest.fixture(scope="class")
     def dataset(self, sdss):
-        return build_syntax_error_dataset(sdss, seed=0)
+        return build_dataset("syntax_error", sdss, seed=0)
 
     def test_covers_workload(self, dataset, sdss):
         assert len(dataset) == len(sdss)
@@ -55,8 +49,8 @@ class TestSyntaxErrorDataset:
                 assert not paper_violations(violations)
 
     def test_deterministic(self, sdss):
-        first = build_syntax_error_dataset(sdss, seed=5)
-        second = build_syntax_error_dataset(sdss, seed=5)
+        first = build_dataset("syntax_error", sdss, seed=5)
+        second = build_dataset("syntax_error", sdss, seed=5)
         assert [i.payload["query"] for i in first] == [
             i.payload["query"] for i in second
         ]
@@ -69,7 +63,7 @@ class TestSyntaxErrorDataset:
 class TestMissTokenDataset:
     @pytest.fixture(scope="class")
     def dataset(self, sdss):
-        return build_miss_token_dataset(sdss, seed=0)
+        return build_dataset("miss_token", sdss, seed=0)
 
     def test_positive_instances_differ_from_source(self, dataset, sdss):
         by_id = {q.query_id: q for q in sdss.queries}
@@ -94,20 +88,20 @@ class TestMissTokenDataset:
 
 class TestPerformanceDataset:
     def test_sdss_only_runtime_labels(self, sdss):
-        dataset = build_performance_dataset(sdss)
+        dataset = build_dataset("performance_pred", sdss)
         assert len(dataset) == 285
         costly = len(dataset.positives)
         assert 0.08 <= costly / len(dataset) <= 0.22  # paper: 41/285
 
     def test_no_runtime_no_instances(self):
         spider = load_workload("spider", seed=0)
-        dataset = build_performance_dataset(spider)
+        dataset = build_dataset("performance_pred", spider)
         assert len(dataset) == 0
 
 
 class TestQueryEquivDataset:
     def test_pairs_have_two_queries(self, sdss):
-        dataset = build_query_equiv_dataset(sdss, seed=0, max_pairs=30)
+        dataset = build_dataset("query_equiv", sdss, seed=0, max_instances=30)
         assert len(dataset) >= 20
         for instance in dataset.instances:
             assert "query_1" in instance.payload
@@ -116,6 +110,6 @@ class TestQueryEquivDataset:
 
 class TestQueryExpDataset:
     def test_gold_descriptions_attached(self, spider):
-        dataset = build_query_exp_dataset(spider)
+        dataset = build_dataset("query_exp", spider)
         assert len(dataset) == 200
         assert all(i.gold_text for i in dataset.instances)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.tasks import build_syntax_error_dataset
+from repro.tasks import build_dataset
 from repro.tasks.export import (
     dataset_from_dict,
     dataset_to_dict,
@@ -17,7 +17,7 @@ from repro.workloads import load_workload
 
 @pytest.fixture(scope="module")
 def dataset():
-    return build_syntax_error_dataset(load_workload("sdss", seed=0), seed=0)
+    return build_dataset("syntax_error", load_workload("sdss", seed=0), seed=0)
 
 
 class TestRoundTrip:

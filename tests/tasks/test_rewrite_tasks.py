@@ -1,22 +1,19 @@
 """The rewrite_equivalence / rewrite_speedup task wiring.
 
-Covers registry dispatch, dataset construction, the ask/parse path
-(direct vs. backend dispatch must be byte-identical), and build-vs-
-streaming instance identity.
+Covers registry dispatch, dataset construction, the request/parse path
+through the simulated backend, and build-vs-streaming instance
+identity.
 """
 
 import pytest
 
-from repro.llm import SimulatedLLM
-from repro.llm.backends import BackendSpec, create_backend
+from repro.llm.backends import SIMULATED_SPEC, create_backend
 from repro.llm.profiles import get_profile
 from repro.tasks import (
     PRIMARY_TASKS,
     REWRITE_EQUIVALENCE,
     REWRITE_SPEEDUP,
     REWRITE_TASKS,
-    ask_rewrite_equivalence,
-    ask_rewrite_speedup,
     build_dataset,
 )
 from repro.tasks.registry import build_request, parse_answer, tasks_for_workload
@@ -32,8 +29,15 @@ def workload():
 
 
 @pytest.fixture(scope="module")
-def model():
-    return SimulatedLLM("gpt35")
+def backend():
+    return create_backend(SIMULATED_SPEC, get_profile("gpt35"))
+
+
+def _ask(backend, task, instance):
+    """Answer one instance the way the grid does: ``(answer, response)``."""
+    model = backend.profile.name
+    response = backend.complete(build_request(task, model, instance))
+    return parse_answer(task, instance, response, model), response
 
 
 class TestRegistry:
@@ -87,58 +91,21 @@ class TestDatasets:
 
 class TestAskPath:
     def test_equivalence_extraction_matches_internal_decision(
-        self, workload, model
+        self, workload, backend
     ):
         dataset = build_dataset(
             REWRITE_EQUIVALENCE, workload, seed=0, max_instances=12
         )
         for instance in dataset.instances:
-            answer = ask_rewrite_equivalence(model, instance)
-            response = model.answer_equivalence(
-                instance.instance_id,
-                instance.payload["query_1"],
-                instance.payload["query_2"],
-                instance.workload,
-                instance.props,
-                truth_equivalent=bool(instance.label),
-                truth_pair_type=instance.label_type,
-            )
+            answer, response = _ask(backend, REWRITE_EQUIVALENCE, instance)
             assert answer.predicted == response.metadata["says_equivalent"]
 
     def test_speedup_extraction_matches_internal_decision(
-        self, workload, model
+        self, workload, backend
     ):
         dataset = build_dataset(
             REWRITE_SPEEDUP, workload, seed=0, max_instances=12
         )
         for instance in dataset.instances:
-            answer = ask_rewrite_speedup(model, instance)
-            response = model.answer_speedup(
-                instance.instance_id,
-                instance.payload["query_1"],
-                instance.payload["query_2"],
-                instance.props,
-                truth_faster=bool(instance.label),
-            )
+            answer, response = _ask(backend, REWRITE_SPEEDUP, instance)
             assert answer.predicted == response.metadata["says_faster"]
-
-    def test_backend_dispatch_is_byte_identical_to_direct(
-        self, workload, model
-    ):
-        backend = create_backend(
-            BackendSpec(name="simulated"), get_profile(model.name)
-        )
-        direct = {
-            REWRITE_EQUIVALENCE: ask_rewrite_equivalence,
-            REWRITE_SPEEDUP: ask_rewrite_speedup,
-        }
-        for task, ask_fn in direct.items():
-            dataset = build_dataset(task, workload, seed=0, max_instances=8)
-            for instance in dataset.instances:
-                request = build_request(task, model.name, instance)
-                response = backend.complete(request)
-                via_backend = parse_answer(task, instance, response, model.name)
-                directly = ask_fn(model, instance)
-                assert via_backend.response_text == directly.response_text
-                assert via_backend.predicted == directly.predicted
-                assert via_backend.predicted_type == directly.predicted_type

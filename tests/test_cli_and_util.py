@@ -88,6 +88,37 @@ class TestCli:
                 runs_dir=tmp_path,
             )
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("workload", 5, "workload must be a string, got 5"),
+            ("strata", ["dialect"], "strata must be a string"),
+            ("chaos", 1.5, "chaos must be a string, got 1.5"),
+            ("fixtures_dir", 7, "fixtures_dir must be a string, got 7"),
+            ("record_fixtures", "false", "record_fixtures must be true or false"),
+        ],
+    )
+    def test_malformed_payload_field_is_rejected(self, tmp_path, field, value, message):
+        from repro.execution import RunRequestError, request_from_payload
+
+        with pytest.raises(RunRequestError, match=message):
+            request_from_payload(
+                {"artifacts": ["table1"], field: value},
+                cache_dir=tmp_path,
+                runs_dir=tmp_path,
+            )
+
+    def test_zero_workers_payload_is_rejected_like_the_flag(self, tmp_path):
+        from repro.execution import RunRequestError, prepare_run, request_from_payload
+
+        request = request_from_payload(
+            {"artifacts": ["table1"], "workers": 0},
+            cache_dir=tmp_path,
+            runs_dir=tmp_path,
+        )
+        with pytest.raises(RunRequestError, match="--workers must be >= 1, got 0"):
+            prepare_run(request)
+
     def test_bench_rejects_bad_workers(self, capsys):
         assert main(["bench", "--workers", "0"]) == 2
         assert "--workers" in capsys.readouterr().err
