@@ -32,10 +32,6 @@ Subcommands:
   engine cache — zero model invocations when the cache is warm;
 * ``report --compare RUN_A RUN_B`` — align two stored runs and flag
   metric regressions (exit code 3 when any are found);
-* ``bench`` — measure the lexer/parser/rewrite/workload-generation/
-  dataset-build/grid hot paths and write
-  ``benchmarks/BENCH_hotpaths.json`` (``--quick --check`` is the CI
-  perf smoke mode);
 * ``export`` — write the labeled benchmark datasets to JSON.
 """
 
@@ -354,41 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="worker processes if any cells must be recomputed",
-    )
-
-    bench_parser = subparsers.add_parser(
-        "bench",
-        help="measure lexer/parser/rewrite/workload/grid hot paths (BENCH_hotpaths.json)",
-    )
-    bench_parser.add_argument(
-        "--phase",
-        choices=("before", "after"),
-        default="after",
-        help="which section of the BENCH JSON to write",
-    )
-    bench_parser.add_argument("--workers", type=int, default=4)
-    bench_parser.add_argument("--max-instances", type=int, default=None)
-    bench_parser.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help="output JSON (default: benchmarks/BENCH_hotpaths.json)",
-    )
-    bench_parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="cap the grid for a CI-sized smoke measurement",
-    )
-    bench_parser.add_argument(
-        "--check",
-        action="store_true",
-        help="fail if warm grid time or parse throughput regresses >3x",
-    )
-    bench_parser.add_argument(
-        "--check-baseline",
-        action="store_true",
-        help="fail on >20%% normalized throughput regression vs the "
-        "committed BENCH JSON baseline",
     )
 
     serve_parser = subparsers.add_parser(
@@ -850,22 +811,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"workloads : {len(cache.workload_entries())}")
             print(f"size      : {cache.size_bytes()} bytes")
         return 0
-    if args.command == "bench":
-        from repro.perf.bench import run_bench
-
-        if args.workers < 1:
-            print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
-            return 2
-        return run_bench(
-            phase=args.phase,
-            workers=args.workers,
-            max_instances=args.max_instances,
-            seed=args.seed,
-            out=args.out,
-            quick=args.quick,
-            check=args.check,
-            check_baseline=args.check_baseline,
-        )
     if args.command == "rewrite":
         return _cmd_rewrite(args)
     if args.command == "runs":

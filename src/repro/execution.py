@@ -135,6 +135,12 @@ def request_from_payload(
     options = payload.get("backend_options") or {}
     if not isinstance(options, dict):
         raise RunRequestError("backend_options must be an object")
+    for key, value in options.items():
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise RunRequestError(
+                f"backend_options.{key} must be a string or a number, "
+                f"got {value!r}"
+            )
     backend_opts = tuple(
         f"{key}={value}" for key, value in sorted(options.items())
     )
@@ -428,6 +434,21 @@ def prepare_run(request: RunRequest) -> PreparedRun:
         options = dict(backend_spec.as_dict())
         options["timeout"] = str(request.request_timeout)
         backend_spec = BackendSpec.build(backend_spec.name, options)
+
+    # Build the final spec once, so options no backend can work with
+    # (a missing base_url, a non-numeric rate, an unknown inner backend)
+    # are refused before the run is journalled or queued rather than
+    # when its first cell runs.
+    from repro.llm.backends import BackendError, create_backend
+    from repro.llm.profiles import MODEL_PROFILES
+
+    try:
+        create_backend(backend_spec, MODEL_PROFILES[0]).close()
+    except (BackendError, KeyError, ValueError) as error:
+        # str(KeyError) wraps its argument in quotes; raise the message.
+        raise RunRequestError(
+            error.args[0] if error.args else str(error)
+        ) from error
 
     return PreparedRun(
         request=request,

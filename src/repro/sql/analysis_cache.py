@@ -353,14 +353,6 @@ def analyze_cached(text: str) -> QueryAnalysis:
     return analysis
 
 
-def properties_cached(text: str):
-    """Memoized structural properties of *text* (QueryProperties).
-
-    Shared value — callers must not mutate the returned record.
-    """
-    return _analysis_entry(text).properties
-
-
 def counters() -> CacheCounters:
     """A snapshot of raw-work and hit/miss counters for this process.
 

@@ -45,6 +45,3 @@ class SharedASTMutationError(SqlError):
     :func:`repro.sql.nodes.clone` before mutating.
     """
 
-
-class AnalysisError(SqlError):
-    """Raised for malformed analyzer inputs (not for detected violations)."""

@@ -209,16 +209,3 @@ TYPE_NAMES: frozenset[str] = frozenset(
         "BOOLEAN",
     }
 )
-
-
-def is_aggregate_function(name: str) -> bool:
-    """Return True when *name* refers to an aggregate function."""
-    return name.upper() in AGGREGATE_FUNCTIONS
-
-
-def is_known_function(name: str) -> bool:
-    """Return True when *name* is any known built-in or SDSS UDF."""
-    upper = name.upper()
-    if upper in AGGREGATE_FUNCTIONS or upper in SCALAR_FUNCTIONS:
-        return True
-    return name in SDSS_UDFS

@@ -199,36 +199,6 @@ def tokens_from_scan(text: str, scanned: ScanResult) -> list[Token]:
     return list(map(Token._make, zip(token_kinds, values, starts, words, ends)))
 
 
-class Lexer:
-    """Single-pass scanner over a SQL string (compatibility wrapper).
-
-    Hot paths call :func:`scan` (arrays) or :func:`tokenize` (tokens)
-    directly; this class survives for callers that want
-    :meth:`word_index` lookups against the same word model.
-    """
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.length = len(text)
-        self.pos = 0
-        self._word_ends = _word_ends(text)
-
-    def word_index(self, offset: int) -> int:
-        """Index of the whitespace-delimited word *offset* belongs to.
-
-        Whitespace positions map to the index of the *next* word — how a
-        person counts word positions when told "the missing word is at
-        word position N".
-        """
-        return bisect_right(self._word_ends, offset)
-
-    def tokenize(self) -> list[Token]:
-        """Scan the whole input and return tokens ending with EOF."""
-        tokens = tokens_from_scan(self.text, scan(self.text))
-        self.pos = self.length
-        return tokens
-
-
 def tokenize(text: str) -> list[Token]:
     """Tokenize *text*, returning a token list terminated by EOF.
 

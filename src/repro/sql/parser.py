@@ -90,9 +90,6 @@ class Parser:
             CODE_TO_KIND[self._kinds[i]], self._values[i], self._starts[i]
         )
 
-    def at_eof(self) -> bool:
-        return self._kinds[self.index] == K_EOF
-
     def _advance(self) -> str:
         """Consume the current token and return its value."""
         i = self.index

@@ -8,10 +8,10 @@ must not move peak memory by more than 50%.  An absolute ceiling backs
 the ratio up: if a refactor starts materialising the dataset again, the
 larger run blows straight past it.
 
-The companion RSS-level gate (whole-process ``ru_maxrss`` including the
-parser, allocator and worker processes) lives in
-``benchmarks/bench_engine_scaling.py --check-baseline``, which CI runs
-against the committed baseline curve.
+The companion RSS-level gate (whole-process peak RSS, including the
+parser, the allocator and any worker processes) is
+``benchmarks/harness.py --check``, which CI runs against the n=100k
+point of the committed curve in ``benchmarks/BENCH_harness.json``.
 """
 
 import tracemalloc

@@ -124,6 +124,22 @@ class TestLifecycle:
                     client.submit({**GRID, field: value})
                 assert excinfo.value.status == 400, field
                 assert field in str(excinfo.value)
+            unbuildable = [
+                ({"backend": "openai_compat"}, "base_url"),
+                (
+                    {
+                        "backend": "openai_compat",
+                        "backend_options": {"base_url": "http://x/v1", "timeout": [1]},
+                    },
+                    "backend_options.timeout",
+                ),
+                ({"backend": "chaos", "backend_options": {"rate": "5"}}, "chaos rate"),
+            ]
+            for extra, message in unbuildable:
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit({**GRID, **extra})
+                assert excinfo.value.status == 400, extra
+                assert message in str(excinfo.value)
             assert client.jobs() == []
 
     def test_unknown_job_404(self, tmp_path):

@@ -96,6 +96,16 @@ class TestCli:
             ("chaos", 1.5, "chaos must be a string, got 1.5"),
             ("fixtures_dir", 7, "fixtures_dir must be a string, got 7"),
             ("record_fixtures", "false", "record_fixtures must be true or false"),
+            (
+                "backend_options",
+                {"timeout": [1]},
+                r"backend_options.timeout must be a string or a number, got \[1\]",
+            ),
+            (
+                "backend_options",
+                {"rate": True},
+                "backend_options.rate must be a string or a number, got True",
+            ),
         ],
     )
     def test_malformed_payload_field_is_rejected(self, tmp_path, field, value, message):
@@ -119,9 +129,69 @@ class TestCli:
         with pytest.raises(RunRequestError, match="--workers must be >= 1, got 0"):
             prepare_run(request)
 
-    def test_bench_rejects_bad_workers(self, capsys):
-        assert main(["bench", "--workers", "0"]) == 2
-        assert "--workers" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"backend": "openai_compat"}, "openai_compat needs a base_url option"),
+            (
+                {
+                    "backend": "openai_compat",
+                    "backend_options": {"base_url": "http://x/v1", "timeout": "soon"},
+                },
+                "backend option timeout='soon' is not a number",
+            ),
+            (
+                {"backend": "chaos", "backend_options": {"rate": "5"}},
+                r"chaos rate must be in \(0, 1\], got 5.0",
+            ),
+            (
+                {"backend": "chaos", "backend_options": {"kind": "404"}},
+                "chaos kind must be 429, 500 or timeout",
+            ),
+            (
+                {"backend": "chaos", "backend_options": {"inner": "quantum"}},
+                "^unknown backend 'quantum'; expected one of",
+            ),
+        ],
+    )
+    def test_unbuildable_backend_is_rejected_when_prepared(
+        self, tmp_path, payload, message
+    ):
+        from repro.execution import RunRequestError, prepare_run, request_from_payload
+
+        request = request_from_payload(
+            {"artifacts": ["table6"], **payload},
+            cache_dir=tmp_path,
+            runs_dir=tmp_path,
+        )
+        with pytest.raises(RunRequestError, match=message):
+            prepare_run(request)
+
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            (
+                ["--backend", "openai_compat"],
+                "openai_compat needs a base_url option "
+                "(e.g. --backend-opt base_url=http://localhost:8000/v1)",
+            ),
+            (
+                ["--backend", "chaos", "--backend-opt", "rate=5"],
+                "chaos rate must be in (0, 1], got 5.0",
+            ),
+        ],
+    )
+    def test_run_rejects_unbuildable_backend_as_usage_error(
+        self, tmp_path, capsys, flags, line
+    ):
+        argv = [
+            "run", "table6", "--max-instances", "2", *flags,
+            "--cache-dir", str(tmp_path / "cache"),
+            "--runs-dir", str(tmp_path / "runs"),
+        ]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not (tmp_path / "runs").exists()
 
     def test_backends_list(self, capsys):
         assert main(["backends", "list"]) == 0
