@@ -10,8 +10,8 @@ from repro.evalfw.report import render_table
 from repro.perf.cost_model import PAPER_COSTLY_FRACTION
 
 
-def run_sweep(runner):
-    workload = runner.workload("sdss")
+def run_sweep(engine):
+    workload = engine.workload("sdss")
     elapsed = [q.elapsed_ms for q in workload if q.elapsed_ms is not None]
     rows = []
     for threshold in (50, 100, 150, 200, 300, 400):
@@ -26,8 +26,8 @@ def run_sweep(runner):
     return rows
 
 
-def test_ablation_cost_threshold(benchmark, runner, save_report):
-    rows = benchmark.pedantic(run_sweep, args=(runner,), rounds=1, iterations=1)
+def test_ablation_cost_threshold(benchmark, engine, save_report):
+    rows = benchmark.pedantic(run_sweep, args=(engine,), rounds=1, iterations=1)
     text = render_table(rows, "Ablation: cost-threshold sweep (SDSS runtimes)")
     save_report("ablation_cost_threshold", text)
     by_threshold = {row["threshold_ms"]: row for row in rows}

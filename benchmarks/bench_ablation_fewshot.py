@@ -12,12 +12,12 @@ from repro.llm.profiles import MODEL_PROFILES
 from repro.prompts import build_few_shot_prompt, prompt_for
 
 
-def _evaluate(runner, prompt):
-    dataset = runner.dataset("syntax_error", "sdss")
+def _evaluate(engine, prompt):
+    dataset = engine.dataset("syntax_error", "sdss")
     exemplar_ids = {i.instance_id for i in dataset.instances[:3]}
     rows = []
     for profile in MODEL_PROFILES:
-        cell = runner.run_cell(profile.name, "syntax_error", "sdss", prompt)
+        cell = engine.run_cell(profile.name, "syntax_error", "sdss", prompt)
         held_out = [
             (instance, answer)
             for instance, answer in zip(cell.dataset.instances, cell.answers)
@@ -30,11 +30,11 @@ def _evaluate(runner, prompt):
     return rows
 
 
-def run_ablation(runner):
-    dataset = runner.dataset("syntax_error", "sdss")
+def run_ablation(engine):
+    dataset = engine.dataset("syntax_error", "sdss")
     few_shot = build_few_shot_prompt("syntax_error", dataset.instances[:3], shots=3)
-    zero_rows = _evaluate(runner, prompt_for("syntax_error"))
-    few_rows = _evaluate(runner, few_shot)
+    zero_rows = _evaluate(engine, prompt_for("syntax_error"))
+    few_rows = _evaluate(engine, few_shot)
     merged = []
     for (model, zero), (_, few) in zip(zero_rows, few_rows):
         merged.append(
@@ -50,8 +50,8 @@ def run_ablation(runner):
     return merged
 
 
-def test_ablation_fewshot(benchmark, runner, save_report):
-    rows = benchmark.pedantic(run_ablation, args=(runner,), rounds=1, iterations=1)
+def test_ablation_fewshot(benchmark, engine, save_report):
+    rows = benchmark.pedantic(run_ablation, args=(engine,), rounds=1, iterations=1)
     text = render_table(rows, "Ablation: zero-shot vs 3-shot (syntax_error, SDSS)")
     save_report("ablation_fewshot", text)
     by_model = {row["Model"]: row for row in rows}

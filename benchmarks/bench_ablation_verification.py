@@ -12,8 +12,8 @@ from repro.equivalence.pairs import SOUND_BY_CONSTRUCTION
 from repro.evalfw.report import render_table
 
 
-def run_ablation(runner):
-    workload = runner.workload("sdss")
+def run_ablation(engine):
+    workload = engine.workload("sdss")
     unverified = generate_equivalence_pairs(
         workload, seed=0, max_pairs=80, verify=False
     )
@@ -45,8 +45,8 @@ def run_ablation(runner):
     ]
 
 
-def test_ablation_verification(benchmark, runner, save_report):
-    rows = benchmark.pedantic(run_ablation, args=(runner,), rounds=1, iterations=1)
+def test_ablation_verification(benchmark, engine, save_report):
+    rows = benchmark.pedantic(run_ablation, args=(engine,), rounds=1, iterations=1)
     text = render_table(
         rows, "Ablation: label noise in unverified equivalence pairs (SDSS)"
     )

@@ -11,16 +11,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.evalfw.runner import ExperimentRunner
+from repro.engine import EngineConfig, ExperimentEngine
 from repro.experiments import run_experiment
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
 @pytest.fixture(scope="session")
-def runner() -> ExperimentRunner:
-    """One shared runner so workloads/datasets are generated once."""
-    return ExperimentRunner(seed=0)
+def engine() -> ExperimentEngine:
+    """One shared engine so workloads/datasets are generated once."""
+    return ExperimentEngine(EngineConfig(seed=0))
 
 
 @pytest.fixture(scope="session")
@@ -50,12 +50,12 @@ def save_report():
 
 
 @pytest.fixture()
-def reproduce(benchmark, runner, emit):
+def reproduce(benchmark, engine, emit):
     """Run one artifact exactly once under the benchmark timer."""
 
     def _reproduce(artifact: str):
         result = benchmark.pedantic(
-            run_experiment, args=(artifact, runner), rounds=1, iterations=1
+            run_experiment, args=(artifact, engine), rounds=1, iterations=1
         )
         emit(result)
         return result

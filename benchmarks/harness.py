@@ -41,10 +41,10 @@ import os
 import platform
 import resource
 import shutil
+import signal
 import statistics
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -146,13 +146,64 @@ def host_fingerprint() -> dict:
     }
 
 
+#: ``prctl`` option: the signal this process gets when its parent exits.
+_PR_SET_PDEATHSIG = 1
+
+
+def _exit_with(parent: int) -> None:
+    """Have the kernel SIGKILL this process when *parent* exits (Linux).
+
+    That covers every way the harness can end, SIGKILL included.  The
+    parent may have exited before the request took effect, so check.
+    """
+    try:
+        import ctypes
+
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+        prctl.restype = ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    except (OSError, AttributeError):  # no prctl: not Linux
+        pass
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _fresh_child(conn, parent: int, fn, args) -> None:
+    _exit_with(parent)
+    try:
+        outcome = (True, fn(*args))
+    except Exception as error:  # raised again in the parent
+        outcome = (False, error)
+    conn.send(outcome)
+    conn.close()
+
+
 def in_fresh_process(fn, *args):
     """``fn(*args)`` in a new interpreter: no memo, allocator state or
-    peak RSS carried over from this process."""
-    with ProcessPoolExecutor(
-        max_workers=1, mp_context=get_context("spawn")
-    ) as pool:
-        return pool.submit(fn, *args).result()
+    peak RSS carried over from this process.
+
+    The child does not outlive the harness: it is killed when the
+    harness unwinds (Ctrl-C) and by the kernel when the harness dies.
+    """
+    context = get_context("spawn")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=_fresh_child, args=(send, os.getpid(), fn, args))
+    child.start()
+    send.close()
+    try:
+        ok, value = receive.recv()
+    except EOFError:
+        ok, value = False, RuntimeError(f"{fn!r} died in its fresh process")
+    except BaseException:
+        child.kill()
+        raise
+    finally:
+        child.join()
+        receive.close()
+    if not ok:
+        raise value
+    return value
 
 
 # -- throughput ---------------------------------------------------------------
@@ -345,23 +396,25 @@ def check_against_baseline(
 
 def measure_grid(workers: int, max_instances: int | None, seed: int) -> dict:
     """The grid serial, pooled cold then steady, cache cold then warm."""
-    from repro.evalfw.runner import ExperimentRunner
+    from repro.engine.core import EngineConfig, ExperimentEngine
     from repro.sql.analysis_cache import clear_caches
 
     def run_grid(repeats: int = 1, **options) -> tuple[list[float], dict, object]:
-        """Time the grid *repeats* times on one new runner, memo cleared:
-        (seconds per repeat, the last grids, the runner's engine)."""
+        """Time the grid *repeats* times on one new engine, memo cleared:
+        (seconds per repeat, the last grids, the engine)."""
         clear_caches()
-        runner = ExperimentRunner(seed=seed, max_instances=max_instances, **options)
+        engine = ExperimentEngine(
+            EngineConfig(seed=seed, max_instances=max_instances, **options)
+        )
         seconds = []
         try:
             for _ in range(repeats):
                 started = time.perf_counter()
-                grids = {task: runner.run_task(task) for task in GRID_TASKS}
+                grids = {task: engine.run_task(task) for task in GRID_TASKS}
                 seconds.append(time.perf_counter() - started)
         finally:
-            runner.close()
-        return seconds, grids, runner.engine
+            engine.close()
+        return seconds, grids, engine
 
     def answers(grids: dict) -> dict:
         return {

@@ -9,8 +9,8 @@ Run:  python examples/model_report_card.py [workload]
 import sys
 
 from repro.corrupt import ERROR_TYPES
+from repro.engine import EngineConfig, ExperimentEngine
 from repro.evalfw import (
-    ExperimentRunner,
     metrics_table,
     property_breakdown,
     render_breakdown,
@@ -20,8 +20,8 @@ from repro.evalfw import (
 
 
 def main(workload: str = "sdss") -> None:
-    runner = ExperimentRunner(seed=0)
-    grid = runner.run_task("syntax_error", workloads=(workload,))
+    engine = ExperimentEngine(EngineConfig(seed=0))
+    grid = engine.run_task("syntax_error", workloads=(workload,))
 
     print(render_table(metrics_table(grid, "binary"), f"syntax_error on {workload}"))
     print()

@@ -18,11 +18,11 @@ parts of the pipeline and are excluded from the "paper six" by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.analysis.scopes import Scope, Source, derive_output_columns
-from repro.analysis.typing import infer_type, literal_type, types_comparable
+from repro.analysis.typing import infer_type, types_comparable
 from repro.schema.model import ColType, Schema
 from repro.sql import nodes as n
 from repro.sql.keywords import AGGREGATE_FUNCTIONS

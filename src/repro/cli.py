@@ -42,23 +42,17 @@ import sys
 from pathlib import Path
 
 from repro.experiments.registry import ARTIFACT_IDS, EXPERIMENTS
-from repro.reporting.run_record import DEFAULT_RUNS_DIR
-
-#: Where ``run`` caches evaluated cells unless told otherwise.
-DEFAULT_CACHE_DIR = Path(".repro-cache")
+from repro.lifecycle.layout import (
+    DEFAULT_CACHE_DIR,
+    DEFAULT_JOBS_DIR,
+    DEFAULT_REPORTS_DIR,
+    DEFAULT_RUNS_DIR,
+)
 
 #: Errors a record load can surface: missing/ambiguous ids (KeyError),
 #: unreadable files (OSError), corrupt JSON or version mismatches
 #: (ValueError, which json.JSONDecodeError subclasses).
 _RECORD_ERRORS = (KeyError, OSError, ValueError)
-
-#: Where ``report`` writes bundles unless told otherwise.
-DEFAULT_REPORTS_DIR = Path("reports")
-
-#: Where ``serve`` journals its durable job queue unless told otherwise.
-#: Mirrors :data:`repro.server.jobs.DEFAULT_JOBS_DIR` without importing
-#: the server package at parser-build time.
-DEFAULT_JOBS_DIR = Path("results/jobs")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,7 +34,7 @@ endpoint or a record/replay fixture store otherwise.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
@@ -45,6 +45,7 @@ from repro.engine.cache import (
     prompt_fingerprint,
 )
 from repro.engine.worker import AnswerState, ChunkSpec, DatasetBuild, evaluate_chunk
+from repro.evalfw.accumulate import CellResult
 from repro.lifecycle import (
     CELL_COMMITTED,
     CELL_DEGRADED,
@@ -73,9 +74,11 @@ from repro.tasks.registry import TASK_WORKLOADS, build_dataset
 from repro.workloads import load_workload
 from repro.workloads.base import Workload
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, see below
+# ``repro.engine.streaming`` loads ``multiprocessing``.  This module
+# imports it where a cell first needs it, so a run's startup (the CLI
+# parser through ``prepare_run``) does not pay for it.
+if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.streaming import CellWork, StreamingEvaluator
-    from repro.evalfw.accumulate import CellResult
 
 #: Instances per chunk on the materialised path: small enough that a
 #: typical workload cell (a few hundred instances) splits across all
@@ -125,6 +128,8 @@ class EngineConfig:
     CELL_ERROR_POLICIES = ("fail", "skip", "degrade")
 
     def __post_init__(self) -> None:
+        # The one range check of every knob.  Each message starts with
+        # the field name, which ``prepare_run`` respells as its flag.
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.chunk_size is not None and self.chunk_size < 1:
@@ -135,6 +140,10 @@ class EngineConfig:
             )
         if self.rps is not None and self.rps <= 0:
             raise ValueError(f"rps must be > 0, got {self.rps}")
+        if self.max_instances is not None and self.max_instances < 1:
+            raise ValueError(
+                f"max_instances must be >= 1, got {self.max_instances}"
+            )
         if self.on_cell_error not in self.CELL_ERROR_POLICIES:
             raise ValueError(
                 f"on_cell_error must be one of {self.CELL_ERROR_POLICIES}, "
@@ -152,6 +161,34 @@ class EngineConfig:
             raise ValueError(
                 f"breaker_threshold must be >= 0, got {self.breaker_threshold}"
             )
+
+    def as_dict(self) -> dict:
+        """Every knob as JSON, keyed by field name (the journal manifest)."""
+        data = {knob.name: getattr(self, knob.name) for knob in fields(self)}
+        data["cache_dir"] = None if self.cache_dir is None else str(self.cache_dir)
+        data["backend"] = {"name": self.backend.name, "options": self.backend.as_dict()}
+        return data
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "EngineConfig":
+        """The config :meth:`as_dict` wrote.
+
+        Keys that name no knob are ignored (a manifest also holds the
+        run's artifacts, older ones the retired ``shard_size``), and a
+        missing or null knob takes its default (older manifests wrote
+        ``max_concurrency: null`` for the default).
+        """
+        knobs = {
+            knob.name: data[knob.name]
+            for knob in fields(cls)
+            if data.get(knob.name) is not None
+        }
+        if "cache_dir" in knobs:
+            knobs["cache_dir"] = Path(knobs["cache_dir"])
+        if "backend" in knobs:
+            backend = knobs["backend"]
+            knobs["backend"] = BackendSpec.build(backend["name"], backend.get("options"))
+        return cls(**knobs)
 
     def resolved_breaker_threshold(self) -> Optional[int]:
         """The effective trip threshold, or None when the breaker is off."""
@@ -210,7 +247,7 @@ class ExperimentEngine:
         self.cached_cells = 0
         #: Every distinct served cell, keyed (model, task, workload) —
         #: the reporting layer snapshots this into RunRecords.
-        self.results: dict[tuple[str, str, str], "CellResult"] = {}
+        self.results: dict[tuple[str, str, str], CellResult] = {}
         #: Append-only provenance log (one entry per serve, incl. repeats).
         self.cell_log: list[CellLog] = []
         self._workloads: dict[str, Workload] = {}
@@ -379,8 +416,6 @@ class ExperimentEngine:
     def streaming(self) -> "StreamingEvaluator":
         """The work queue and the streamed data path."""
         if self._streaming is None:
-            # Imported lazily: streaming pulls in evalfw.accumulate,
-            # whose package __init__ imports evalfw.runner -> this module.
             from repro.engine.streaming import StreamingEvaluator
 
             self._streaming = StreamingEvaluator(self)
@@ -414,7 +449,7 @@ class ExperimentEngine:
         task: str,
         workload_name: str,
         prompt: Optional[PromptTemplate] = None,
-    ) -> "CellResult":
+    ) -> CellResult:
         """Evaluate one cell (through the cache and the pool)."""
         grid = self._evaluate_cells(
             [(self.profile(model_name), task, workload_name)], prompt
@@ -426,7 +461,7 @@ class ExperimentEngine:
         task: str,
         workloads: Optional[tuple[str, ...]] = None,
         prompt: Optional[PromptTemplate] = None,
-    ) -> dict[tuple[str, str], "CellResult"]:
+    ) -> dict[tuple[str, str], CellResult]:
         """Evaluate all models on all of a task's workloads.
 
         On the work queue, the chunks of all pending cells are in flight
@@ -444,13 +479,10 @@ class ExperimentEngine:
         self,
         cells: Sequence[tuple[ModelProfile, str, str]],
         prompt: Optional[PromptTemplate],
-    ) -> dict[tuple[str, str], "CellResult"]:
-        # Imported lazily: the evalfw package imports this module at top level.
-        from repro.evalfw.accumulate import CellResult
-
+    ) -> dict[tuple[str, str], CellResult]:
         if self.config.chunk_size is not None:
             return self._evaluate_cells_streamed(cells, prompt)
-        grid: dict[tuple[str, str], "CellResult"] = {}
+        grid: dict[tuple[str, str], CellResult] = {}
         pending: list[tuple[ModelProfile, str, str, TaskDataset, Optional[str]]] = []
         if self.config.workers > 1:
             self._prefetch_datasets({(task, workload) for _, task, workload in cells})
@@ -574,8 +606,6 @@ class ExperimentEngine:
         prompt: Optional[PromptTemplate],
     ) -> None:
         """Persist and record one computed cell (cache, log, journal)."""
-        from repro.evalfw.accumulate import CellResult
-
         profile, task, workload_name, dataset, key = entry
         self.computed_cells += 1
         if (
@@ -616,7 +646,7 @@ class ExperimentEngine:
         self,
         cells: Sequence[tuple[ModelProfile, str, str]],
         prompt: Optional[PromptTemplate],
-    ) -> dict[tuple[str, str], "CellResult"]:
+    ) -> dict[tuple[str, str], CellResult]:
         """The chunked data path: cells stream one at a time.
 
         Each cell's instances are produced, evaluated, merged and
@@ -624,7 +654,7 @@ class ExperimentEngine:
         :class:`~repro.evalfw.accumulate.CellResult` that holds the
         metric counts but no dataset or answers.
         """
-        grid: dict[tuple[str, str], "CellResult"] = {}
+        grid: dict[tuple[str, str], CellResult] = {}
         for profile, task, workload_name in cells:
             self._checkpoint()
             self._journal_cell(profile.name, task, workload_name, CELL_IN_FLIGHT)
@@ -647,7 +677,7 @@ class ExperimentEngine:
 
     def _record_cell(
         self,
-        result: "CellResult",
+        result: CellResult,
         cached: bool,
         seconds: Optional[float],
         prompt: Optional[PromptTemplate] = None,

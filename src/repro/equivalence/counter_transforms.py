@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.schema.model import ColType, Schema
+from repro.schema.model import Schema
 from repro.sql import nodes as n
 from repro.sql.keywords import AGGREGATE_FUNCTIONS
 from repro.sql.render import render

@@ -1,5 +1,11 @@
-"""Evaluation framework: metrics, confusion analysis, runner, reports."""
+"""Evaluation framework: metrics, confusion analysis, cell results, reports.
 
+It sits below the engine and imports nothing from it: the engine folds
+every evaluated cell into a :class:`CellResult` from here, and the
+experiments and the execution layer render its grids with these helpers.
+"""
+
+from repro.evalfw.accumulate import CellResult
 from repro.evalfw.confusion import (
     FN,
     FP,
@@ -28,12 +34,12 @@ from repro.evalfw.metrics import (
     weighted_metrics,
 )
 from repro.evalfw.report import (
+    metrics_table,
     render_breakdown,
     render_histogram,
     render_matrix,
     render_table,
 )
-from repro.evalfw.runner import CellResult, ExperimentRunner, metrics_table
 
 __all__ = [
     "binary_metrics",
@@ -57,7 +63,6 @@ __all__ = [
     "PropertyBreakdown",
     "OutcomeStats",
     "TypeFailureProfile",
-    "ExperimentRunner",
     "CellResult",
     "metrics_table",
     "render_table",

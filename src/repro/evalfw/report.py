@@ -1,14 +1,19 @@
 """ASCII rendering of tables, histograms and matrices.
 
 The benchmark harness prints the same rows/series the paper's tables and
-figures report; these helpers format them for terminals and text logs.
+figures report; these helpers format them for terminals and text logs,
+and :func:`metrics_table` flattens an evaluated grid into such rows.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+from repro.llm.profiles import MODEL_PROFILES
 from repro.workloads.statistics import CorrelationMatrix, Histogram
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.evalfw.accumulate import CellResult
 
 
 def render_table(rows: Sequence[dict[str, object]], title: str = "") -> str:
@@ -85,3 +90,36 @@ def render_breakdown(breakdown, title: str = "") -> str:
             f"{stats.average:6.2f} | {stats.median:6.2f}"
         )
     return "\n".join(lines)
+
+
+def metrics_table(
+    grid: dict[tuple[str, str], "CellResult"],
+    kind: str = "binary",
+) -> list[dict[str, object]]:
+    """Flatten a grid into printable rows (model x workload metrics).
+
+    ``kind`` selects ``binary`` (P/R/F1), ``typed`` (weighted P/R/F1) or
+    ``location`` (MAE / hit rate).
+    """
+    rows: list[dict[str, object]] = []
+    by_model: dict[str, dict[str, "CellResult"]] = {}
+    for (model, workload), cell in grid.items():
+        by_model.setdefault(model, {})[workload] = cell
+    for profile in MODEL_PROFILES:
+        if profile.name not in by_model:
+            continue
+        row: dict[str, object] = {"Model": profile.display_name}
+        for workload, cell in by_model[profile.name].items():
+            if kind in ("binary", "typed"):
+                metrics = cell.binary if kind == "binary" else cell.typed
+                row[f"{workload}.Prec"] = metrics.precision
+                row[f"{workload}.Rec"] = metrics.recall
+                row[f"{workload}.F1"] = metrics.f1
+            elif kind == "location":
+                metrics = cell.location
+                row[f"{workload}.MAE"] = metrics.mae
+                row[f"{workload}.HR"] = metrics.hit_rate
+            else:
+                raise ValueError(f"unknown metrics kind {kind!r}")
+        rows.append(row)
+    return rows

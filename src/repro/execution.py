@@ -9,7 +9,8 @@ module owns the whole pipeline the CLI used to inline:
 * :class:`RunRequest` — a validated, transport-agnostic description of
   one grid run (what ``repro run``'s flags parse into, and what the
   server's ``POST /v1/runs`` body deserialises into);
-* :func:`prepare_run` — validation + name resolution, raising
+* :func:`prepare_run` — validation + name resolution into the run's
+  one :class:`~repro.engine.EngineConfig`, raising
   :class:`RunRequestError` with the exact messages the CLI prints;
 * :func:`begin_journal` / :func:`prepare_resume` — the write-ahead
   journal handshake shared with ``repro run --resume``;
@@ -30,10 +31,12 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-#: Where runs cache evaluated cells unless told otherwise.
-DEFAULT_CACHE_DIR = Path(".repro-cache")
+from repro.lifecycle.layout import DEFAULT_CACHE_DIR, DEFAULT_RUNS_DIR
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.engine.core import EngineConfig
 
 
 class RunRequestError(ValueError):
@@ -57,7 +60,7 @@ class RunRequest:
     chunk_size: Optional[int] = None
     cache_dir: Path = DEFAULT_CACHE_DIR
     no_cache: bool = False
-    runs_dir: Path = Path("results/runs")
+    runs_dir: Path = DEFAULT_RUNS_DIR
     record: bool = True
     max_instances: Optional[int] = None
     backend: str = "simulated"
@@ -236,49 +239,32 @@ def request_from_args(args) -> RunRequest:
 
 @dataclass
 class PreparedRun:
-    """A validated run: resolved names, backend spec, chaos plan."""
+    """A validated run: what to evaluate, with which engine, where to record."""
 
-    request: RunRequest
     wanted: list[str]
     workload_name: Optional[str]
-    chunk_size: Optional[int]
-    backend_spec: object
+    engine_config: "EngineConfig"
+    runs_dir: Path = DEFAULT_RUNS_DIR
+    record: bool = True
+    #: The ``--chaos`` plan as given (journalled) and as parsed (armed).
+    chaos: Optional[str] = None
     chaos_plan: object = None
+    origin: str = "cli"
+    client_id: str = ""
     #: The ``[resume] ...`` stderr line, set by :func:`prepare_resume`.
     resume_banner: Optional[str] = None
-
-    @property
-    def cache_dir(self) -> Optional[Path]:
-        """The effective cache directory (None = caching disabled)."""
-        return None if self.request.no_cache else self.request.cache_dir
 
     def config(self) -> dict:
         """The journal manifest config — everything a resume needs.
 
-        ``--resume`` and the service resume path both read it back
-        through :func:`prepare_resume`, which ignores keys it no longer
-        uses (older journals carry a key for the retired shard plan).
+        The engine knobs are written by ``EngineConfig.as_dict`` and read
+        back by ``EngineConfig.from_dict`` in :func:`prepare_resume`.
         """
-        request = self.request
         return {
             "artifacts": list(self.wanted),
             "workload": self.workload_name,
-            "seed": request.seed,
-            "workers": request.workers,
-            "chunk_size": self.chunk_size,
-            "cache_dir": None if request.no_cache else str(request.cache_dir),
-            "max_instances": request.max_instances,
-            "backend": {
-                "name": self.backend_spec.name,
-                "options": self.backend_spec.as_dict(),
-            },
-            "max_concurrency": request.max_concurrency,
-            "rps": request.rps,
-            "on_cell_error": request.on_cell_error,
-            "request_timeout": request.request_timeout,
-            "cell_deadline": request.cell_deadline,
-            "breaker_threshold": request.breaker_threshold,
-            "chaos": request.chaos,
+            "chaos": self.chaos,
+            **self.engine_config.as_dict(),
         }
 
     def fingerprint(self) -> str:
@@ -300,12 +286,17 @@ def prepare_run(request: RunRequest) -> PreparedRun:
     Raises :class:`RunRequestError` with exactly the message the CLI
     has always printed for the equivalent flag mistake.
     """
+    from repro.engine.core import EngineConfig
     from repro.experiments.registry import (
         ARTIFACT_IDS,
         EXPERIMENTS,
         PER_INSTANCE_ARTIFACTS,
     )
-    from repro.llm.backends import backend_names, spec_from_cli
+    from repro.llm.backends import (
+        DEFAULT_MAX_CONCURRENCY,
+        backend_names,
+        spec_from_cli,
+    )
 
     wanted = list(request.artifacts)
     workload_name: Optional[str] = None
@@ -353,39 +344,32 @@ def prepare_run(request: RunRequest) -> PreparedRun:
         unknown = [a for a in wanted if a not in EXPERIMENTS]
         if unknown:
             raise RunRequestError(f"unknown artifacts: {', '.join(unknown)}")
-    if request.workers < 1:
-        raise RunRequestError(
-            f"--workers must be >= 1, got {request.workers}"
-        )
-    if request.max_concurrency is not None and request.max_concurrency < 1:
-        raise RunRequestError(
-            f"--max-concurrency must be >= 1, got {request.max_concurrency}"
-        )
-    if request.rps is not None and request.rps <= 0:
-        raise RunRequestError(f"--rps must be > 0, got {request.rps}")
-    if request.max_instances is not None and request.max_instances < 1:
-        raise RunRequestError(
-            f"--max-instances must be >= 1, got {request.max_instances}"
-        )
+    # 0 means "materialised path": the one flag EngineConfig cannot check.
     if request.chunk_size is not None and request.chunk_size < 0:
-        raise RunRequestError(
-            f"--chunk-size must be >= 0, got {request.chunk_size}"
+        raise RunRequestError(f"--chunk-size must be >= 0, got {request.chunk_size}")
+    try:
+        engine_config = EngineConfig(
+            seed=request.seed,
+            workers=request.workers,
+            cache_dir=None if request.no_cache else request.cache_dir,
+            max_instances=request.max_instances,
+            chunk_size=resolve_chunk_size(request.chunk_size, workload_name),
+            max_concurrency=(
+                DEFAULT_MAX_CONCURRENCY
+                if request.max_concurrency is None
+                else request.max_concurrency
+            ),
+            rps=request.rps,
+            on_cell_error=request.on_cell_error,
+            request_timeout=request.request_timeout,
+            cell_deadline=request.cell_deadline,
+            breaker_threshold=request.breaker_threshold,
         )
-    if request.request_timeout is not None and request.request_timeout <= 0:
-        raise RunRequestError(
-            f"--request-timeout must be > 0, got {request.request_timeout}"
-        )
-    if request.cell_deadline is not None and request.cell_deadline <= 0:
-        raise RunRequestError(
-            f"--cell-deadline must be > 0, got {request.cell_deadline}"
-        )
-    if request.breaker_threshold is not None and request.breaker_threshold < 0:
-        raise RunRequestError(
-            f"--breaker-threshold must be >= 0, got {request.breaker_threshold}"
-        )
-    chunk_size = resolve_chunk_size(request.chunk_size, workload_name)
+    except ValueError as error:  # "<field> must ...", respelled as the flag
+        knob, _, requirement = str(error).partition(" ")
+        raise RunRequestError(f"--{knob.replace('_', '-')} {requirement}") from error
     per_instance = [a for a in wanted if a in PER_INSTANCE_ARTIFACTS]
-    if chunk_size is not None and workload_name is None and per_instance:
+    if engine_config.chunk_size is not None and workload_name is None and per_instance:
         raise RunRequestError(
             f"{', '.join(per_instance)} read per-instance answers, which "
             "--chunk-size does not keep; run them without --chunk-size"
@@ -451,12 +435,15 @@ def prepare_run(request: RunRequest) -> PreparedRun:
         ) from error
 
     return PreparedRun(
-        request=request,
         wanted=wanted,
         workload_name=workload_name,
-        chunk_size=chunk_size,
-        backend_spec=backend_spec,
+        engine_config=dataclasses.replace(engine_config, backend=backend_spec),
+        runs_dir=request.runs_dir,
+        record=request.record,
+        chaos=request.chaos,
         chaos_plan=chaos_plan,
+        origin=request.origin,
+        client_id=request.client_id,
     )
 
 
@@ -485,8 +472,8 @@ def prepare_resume(
     would change cell cache keys and silently recompute instead of
     resuming, so grid flags on a resume are rejected up front.
     """
+    from repro.engine.core import EngineConfig
     from repro.lifecycle import JournalError, RunJournal
-    from repro.llm.backends import BackendSpec
 
     if artifacts or workload is not None or strata is not None:
         raise RunRequestError(
@@ -506,45 +493,16 @@ def prepare_resume(
     except JournalError as error:
         raise RunRequestError(str(error)) from error
     cfg = journal.config
-    cache_dir = cfg.get("cache_dir")
-    backend_cfg = cfg.get("backend", {})
-    backend_spec = BackendSpec.build(
-        backend_cfg.get("name", "simulated"),
-        dict(backend_cfg.get("options", {})),
-    )
-    request = RunRequest(
-        artifacts=tuple(cfg.get("artifacts") or ()),
-        workload=cfg.get("workload"),
-        seed=cfg.get("seed", 0),
-        workers=cfg.get("workers", 1),
-        chunk_size=cfg.get("chunk_size"),
-        cache_dir=(
-            Path(cache_dir) if cache_dir is not None else DEFAULT_CACHE_DIR
-        ),
-        no_cache=cache_dir is None,
-        runs_dir=Path(runs_dir),
-        record=True,
-        max_instances=cfg.get("max_instances"),
-        backend=backend_spec.name,
-        max_concurrency=cfg.get("max_concurrency"),
-        rps=cfg.get("rps"),
-        on_cell_error=cfg.get("on_cell_error", "fail"),
-        request_timeout=cfg.get("request_timeout"),
-        cell_deadline=cfg.get("cell_deadline"),
-        breaker_threshold=cfg.get("breaker_threshold"),
-        chaos=cfg.get("chaos"),
-        origin=origin,
-        client_id=client_id,
-    )
     states = journal.states()
     rendered = ", ".join(f"{state}={n}" for state, n in sorted(states.items()))
     prepared = PreparedRun(
-        request=request,
         wanted=list(cfg.get("artifacts") or ()),
         workload_name=cfg.get("workload"),
-        chunk_size=cfg.get("chunk_size"),
-        backend_spec=backend_spec,
-        chaos_plan=None,
+        engine_config=EngineConfig.from_dict(cfg),
+        runs_dir=Path(runs_dir),
+        chaos=cfg.get("chaos"),
+        origin=origin,
+        client_id=client_id,
         resume_banner=(
             f"[resume] {journal.run_id}: {rendered or 'no journalled cells'}"
         ),
@@ -599,41 +557,24 @@ def execute_prepared(
     the engine after every committed cell, before any chaos hook) is the
     server's progress-event seam.
     """
-    from repro.evalfw.runner import ExperimentRunner
+    from repro.engine.core import ExperimentEngine
     from repro.experiments.registry import run_experiment
     from repro.lifecycle import (
         EXIT_INTERRUPTED,
         GracefulInterrupt,
         RunInterrupted,
     )
-    from repro.llm.backends import DEFAULT_MAX_CONCURRENCY
-    from repro.reporting.run_record import RunRecordStore
+    from repro.reporting.run_record import RunRecordStore, record_from_engine
 
-    request = prepared.request
-    runner = ExperimentRunner(
-        seed=request.seed,
-        workers=request.workers,
-        cache_dir=prepared.cache_dir,
-        max_instances=request.max_instances,
-        backend=prepared.backend_spec,
-        max_concurrency=request.max_concurrency or DEFAULT_MAX_CONCURRENCY,
-        rps=request.rps,
-        chunk_size=prepared.chunk_size,
-        on_cell_error=request.on_cell_error,
-        request_timeout=request.request_timeout,
-        cell_deadline=request.cell_deadline,
-        breaker_threshold=request.breaker_threshold,
-    )
-    engine = runner.engine
+    config = prepared.engine_config
+    engine = ExperimentEngine(config)
     engine.journal = journal
     if prepared.chaos_plan is not None:
         from repro.chaos import apply_chaos, corrupt_cache_segment
 
         apply_chaos(prepared.chaos_plan, engine)
-        if prepared.chaos_plan.corrupts_segment and not request.no_cache:
-            corrupted = corrupt_cache_segment(
-                request.cache_dir, seed=request.seed
-            )
+        if prepared.chaos_plan.corrupts_segment and config.cache_dir is not None:
+            corrupted = corrupt_cache_segment(config.cache_dir, seed=config.seed)
             if corrupted is not None:
                 info(f"[chaos] corrupted cache segment {corrupted}")
     if interrupt is None:
@@ -660,7 +601,7 @@ def execute_prepared(
             if workload_name is not None:
                 for task in wanted:
                     started = time.perf_counter()
-                    text = workload_grid_text(runner, task, workload_name)
+                    text = workload_grid_text(engine, task, workload_name)
                     artifact_seconds[task] = round(
                         time.perf_counter() - started, 3
                     )
@@ -678,7 +619,7 @@ def execute_prepared(
             else:
                 for artifact in wanted:
                     started = time.perf_counter()
-                    result = run_experiment(artifact, runner)
+                    result = run_experiment(artifact, engine)
                     artifact_seconds[artifact] = round(
                         time.perf_counter() - started, 3
                     )
@@ -736,18 +677,18 @@ def execute_prepared(
             reports=reports,
         )
     finally:
-        runner.close()
+        engine.close()
     stream_stats = engine.stream_stats()
     info(
-        f"[engine] workers={request.workers} "
-        f"backend={prepared.backend_spec.name} "
+        f"[engine] workers={config.workers} "
+        f"backend={config.backend.name} "
         f"cells computed={engine.computed_cells} "
         f"cached={engine.cached_cells}"
-        + ("" if request.no_cache else f" (cache: {request.cache_dir})")
+        + ("" if config.cache_dir is None else f" (cache: {config.cache_dir})")
     )
     if stream_stats is not None:
         info(
-            f"[stream] chunk_size={prepared.chunk_size} "
+            f"[stream] chunk_size={config.chunk_size} "
             f"chunks={stream_stats['chunks']} "
             f"instances={stream_stats['instances']} "
             f"workers_effective={stream_stats['workers_used']} "
@@ -755,8 +696,9 @@ def execute_prepared(
         )
     run_id = journal.run_id if journal is not None else None
     record_path: Optional[str] = None
-    if request.record:
-        record = runner.run_record(
+    if prepared.record:
+        record = record_from_engine(
+            engine,
             artifacts=() if workload_name is not None else tuple(wanted),
             artifact_seconds=artifact_seconds,
             total_seconds=time.perf_counter() - run_started,
@@ -777,9 +719,9 @@ def execute_prepared(
                 created_at=journal.created_at or record.created_at,
             )
         record = dataclasses.replace(
-            record, origin=request.origin, client_id=request.client_id
+            record, origin=prepared.origin, client_id=prepared.client_id
         )
-        path = RunRecordStore(request.runs_dir).save(record)
+        path = RunRecordStore(prepared.runs_dir).save(record)
         info(f"[run-record] {record.run_id} -> {path}")
         run_id = record.run_id
         record_path = str(path)
@@ -824,22 +766,20 @@ def resolve_chunk_size(
     return None
 
 
-def workload_grid_text(runner, task: str, workload_name: str) -> str:
+def workload_grid_text(engine, task: str, workload_name: str) -> str:
     """Evaluate one task over one workload and render its metric table."""
     from repro.evalfw.report import render_table
     from repro.reporting.run_record import cell_record_from_result
 
-    grid = runner.run_task(task, workloads=(workload_name,))
-    model_order = {
-        profile.name: i for i, profile in enumerate(runner.engine.models)
-    }
+    grid = engine.run_task(task, workloads=(workload_name,))
+    model_order = {profile.name: i for i, profile in enumerate(engine.models)}
     rows = []
     for (model, _), cell in sorted(
         grid.items(), key=lambda item: model_order.get(item[0][0], 99)
     ):
         record = cell_record_from_result(
             cell,
-            model_display=runner.engine.profile(model).display_name,
+            model_display=engine.profile(model).display_name,
             cached=False,
             seconds=None,
         )
@@ -855,38 +795,30 @@ def workload_grid_text(runner, task: str, workload_name: str) -> str:
 def regenerate_report(stored, *, cache_dir, out_dir, workers: int = 1):
     """Rebuild the report bundle for a stored :class:`RunRecord`.
 
-    Re-reads every recorded task's grid through the engine cache, via
-    the *same backend* the run was recorded with: on a warm cache this
-    touches no model at all, and the regenerated metrics are guaranteed
-    consistent with the current code.  A recording run's ``mode``
-    option is dropped — reporting must replay, never re-record (record
-    mode bypasses the cell cache and re-invokes the inner backend).
+    Re-reads every recorded task's grid through the engine cache, with
+    the engine configuration :meth:`RunRecord.replay_config` gives: on
+    a warm cache this touches no model at all, and the regenerated
+    metrics are guaranteed consistent with the current code.
 
     Shared by ``repro report`` and the service's report endpoint.
     Returns ``(bundle, record, engine)`` — the engine exposes the
     cached/computed cell counters for diagnostics.
     """
-    from repro.evalfw.runner import ExperimentRunner
-    from repro.llm.backends import BackendSpec
+    from repro.engine.core import ExperimentEngine
     from repro.reporting.bundle import write_report_bundle
+    from repro.reporting.run_record import record_from_engine
 
-    backend_options = dict(stored.backend_options)
-    backend_options.pop("mode", None)
-    runner = ExperimentRunner(
-        seed=stored.seed,
-        workers=workers,
-        max_instances=stored.max_instances,
-        cache_dir=cache_dir,
-        backend=BackendSpec.build(stored.backend, backend_options),
+    engine = ExperimentEngine(
+        stored.replay_config(cache_dir=cache_dir, workers=workers)
     )
     try:
         grids = {
-            task: runner.run_task(task, workloads=tuple(stored.workloads(task)))
+            task: engine.run_task(task, workloads=tuple(stored.workloads(task)))
             for task in stored.tasks()
         }
-        fresh = runner.run_record()
+        fresh = record_from_engine(engine)
     finally:
-        runner.close()
+        engine.close()
     record = fresh.with_identity(stored)
     bundle = write_report_bundle(record, out_dir, grids)
-    return bundle, record, runner.engine
+    return bundle, record, engine

@@ -1,13 +1,13 @@
 """One experiment function per paper artifact (tables 1-7, figures 1-12,
 section 4.5 case study).
 
-Every function takes an :class:`~repro.evalfw.runner.ExperimentRunner`
-(so datasets/workloads are shared and cached, and grid evaluation goes
-through the runner's :class:`~repro.engine.ExperimentEngine` — chunked
-across worker processes and served from the on-disk result cache when
-the runner is configured that way) and returns an
-:class:`ExperimentResult` whose ``text`` prints the same rows/series the
-paper reports, with paper reference values alongside where available.
+Every function takes an :class:`~repro.engine.ExperimentEngine` (so
+datasets and workloads are shared and cached, and grid evaluation is
+chunked across worker processes and served from the on-disk result
+cache when its :class:`~repro.engine.EngineConfig` says so) and returns
+an :class:`ExperimentResult` whose ``text`` prints the same rows/series
+the paper reports, with paper reference values alongside where
+available.
 """
 
 from __future__ import annotations
@@ -17,14 +17,16 @@ from dataclasses import dataclass, field
 
 from repro.corrupt.missing_tokens import TOKEN_TYPES
 from repro.corrupt.syntax_errors import ERROR_TYPES
+from repro.engine.core import ExperimentEngine
+from repro.evalfw.accumulate import CellResult
 from repro.evalfw.failure_analysis import property_breakdown, type_failure_profile
 from repro.evalfw.report import (
+    metrics_table,
     render_breakdown,
     render_histogram,
     render_matrix,
     render_table,
 )
-from repro.evalfw.runner import CellResult, ExperimentRunner, metrics_table
 from repro.experiments import paper_values as paper
 from repro.llm.profiles import MODEL_PROFILES
 from repro.tasks.explanation import explanation_overlap_f1
@@ -77,7 +79,7 @@ def _grid_rows_with_paper(
 # ---------------------------------------------------------------------------
 
 
-def table1_skill_map(runner: ExperimentRunner) -> ExperimentResult:
+def table1_skill_map(engine: ExperimentEngine) -> ExperimentResult:
     rows = render_skill_table()
     return ExperimentResult(
         artifact="table1",
@@ -87,10 +89,10 @@ def table1_skill_map(runner: ExperimentRunner) -> ExperimentResult:
     )
 
 
-def table2_workload_stats(runner: ExperimentRunner) -> ExperimentResult:
+def table2_workload_stats(engine: ExperimentEngine) -> ExperimentResult:
     rows = []
     for name in ("sdss", "sqlshare", "join_order", "spider"):
-        stats = workload_stats(runner.workload(name))
+        stats = workload_stats(engine.workload(name))
         row = stats.as_row()
         row["original"] = ORIGINAL_SIZES[name]
         reference = paper.PAPER_TABLE2.get(DISPLAY_NAMES[name], {})
@@ -104,8 +106,8 @@ def table2_workload_stats(runner: ExperimentRunner) -> ExperimentResult:
     )
 
 
-def _figure_stats(runner: ExperimentRunner, name: str, artifact: str) -> ExperimentResult:
-    workload = runner.workload(name)
+def _figure_stats(engine: ExperimentEngine, name: str, artifact: str) -> ExperimentResult:
+    workload = engine.workload(name)
     histograms = figure_histograms(workload)
     blocks = [
         render_histogram(hist, f"{DISPLAY_NAMES[name]} {prop}")
@@ -119,23 +121,23 @@ def _figure_stats(runner: ExperimentRunner, name: str, artifact: str) -> Experim
     )
 
 
-def fig1_sdss_stats(runner: ExperimentRunner) -> ExperimentResult:
-    return _figure_stats(runner, "sdss", "fig1")
+def fig1_sdss_stats(engine: ExperimentEngine) -> ExperimentResult:
+    return _figure_stats(engine, "sdss", "fig1")
 
 
-def fig2_sqlshare_stats(runner: ExperimentRunner) -> ExperimentResult:
-    return _figure_stats(runner, "sqlshare", "fig2")
+def fig2_sqlshare_stats(engine: ExperimentEngine) -> ExperimentResult:
+    return _figure_stats(engine, "sqlshare", "fig2")
 
 
-def fig3_joinorder_stats(runner: ExperimentRunner) -> ExperimentResult:
-    return _figure_stats(runner, "join_order", "fig3")
+def fig3_joinorder_stats(engine: ExperimentEngine) -> ExperimentResult:
+    return _figure_stats(engine, "join_order", "fig3")
 
 
-def fig4_correlations(runner: ExperimentRunner) -> ExperimentResult:
+def fig4_correlations(engine: ExperimentEngine) -> ExperimentResult:
     blocks = []
     data = {}
     for name in ("sdss", "sqlshare", "join_order"):
-        matrix = correlation_matrix(runner.workload(name))
+        matrix = correlation_matrix(engine.workload(name))
         blocks.append(
             render_matrix(matrix, f"Figure 4 ({DISPLAY_NAMES[name]}): Pearson correlations")
         )
@@ -156,8 +158,8 @@ def fig4_correlations(runner: ExperimentRunner) -> ExperimentResult:
     )
 
 
-def fig5_elapsed_time(runner: ExperimentRunner) -> ExperimentResult:
-    workload = runner.workload("sdss")
+def fig5_elapsed_time(engine: ExperimentEngine) -> ExperimentResult:
+    workload = engine.workload("sdss")
     buckets = [
         ("0-100", 0, 100),
         ("100-200", 100, 200),
@@ -194,8 +196,8 @@ def fig5_elapsed_time(runner: ExperimentRunner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def table3_syntax_error(runner: ExperimentRunner) -> ExperimentResult:
-    grid = runner.run_task("syntax_error")
+def table3_syntax_error(engine: ExperimentEngine) -> ExperimentResult:
+    grid = engine.run_task("syntax_error")
     binary_rows = _grid_rows_with_paper(grid, "binary", paper.PAPER_TABLE3_BINARY)
     typed_rows = _grid_rows_with_paper(grid, "typed", paper.PAPER_TABLE3_TYPED)
     text = (
@@ -211,8 +213,8 @@ def table3_syntax_error(runner: ExperimentRunner) -> ExperimentResult:
     )
 
 
-def fig6_syntax_wordcount(runner: ExperimentRunner) -> ExperimentResult:
-    grid = runner.run_task("syntax_error", workloads=("sdss",))
+def fig6_syntax_wordcount(engine: ExperimentEngine) -> ExperimentResult:
+    grid = engine.run_task("syntax_error", workloads=("sdss",))
     blocks = []
     data = {}
     for model in ("llama3", "gemini"):
@@ -238,12 +240,12 @@ def fig6_syntax_wordcount(runner: ExperimentRunner) -> ExperimentResult:
     )
 
 
-def fig7_syntax_type_fn(runner: ExperimentRunner) -> ExperimentResult:
+def fig7_syntax_type_fn(engine: ExperimentEngine) -> ExperimentResult:
     blocks = []
     shares: dict[str, dict[str, float]] = {}
     miss_rates: dict[str, dict[str, float]] = {}
     for workload in ("sdss", "sqlshare", "join_order"):
-        grid = runner.run_task("syntax_error", workloads=(workload,))
+        grid = engine.run_task("syntax_error", workloads=(workload,))
         rows = []
         for profile in MODEL_PROFILES:
             cell = grid[(profile.name, workload)]
@@ -269,8 +271,8 @@ def fig7_syntax_type_fn(runner: ExperimentRunner) -> ExperimentResult:
     )
 
 
-def table4_miss_token(runner: ExperimentRunner) -> ExperimentResult:
-    grid = runner.run_task("miss_token")
+def table4_miss_token(engine: ExperimentEngine) -> ExperimentResult:
+    grid = engine.run_task("miss_token")
     binary_rows = _grid_rows_with_paper(grid, "binary", paper.PAPER_TABLE4_BINARY)
     typed_rows = _grid_rows_with_paper(grid, "typed", paper.PAPER_TABLE4_TYPED)
     text = (
@@ -286,8 +288,8 @@ def table4_miss_token(runner: ExperimentRunner) -> ExperimentResult:
     )
 
 
-def fig8_miss_token_failures(runner: ExperimentRunner) -> ExperimentResult:
-    grid = runner.run_task("miss_token", workloads=("sqlshare",))
+def fig8_miss_token_failures(engine: ExperimentEngine) -> ExperimentResult:
+    grid = engine.run_task("miss_token", workloads=("sqlshare",))
     panels = (
         ("gpt35", "word_count"),
         ("gemini", "predicate_count"),
@@ -316,11 +318,11 @@ def fig8_miss_token_failures(runner: ExperimentRunner) -> ExperimentResult:
     )
 
 
-def fig9_token_type_fn(runner: ExperimentRunner) -> ExperimentResult:
+def fig9_token_type_fn(engine: ExperimentEngine) -> ExperimentResult:
     blocks = []
     data = {}
     for workload in ("sdss", "sqlshare", "join_order"):
-        grid = runner.run_task("miss_token", workloads=(workload,))
+        grid = engine.run_task("miss_token", workloads=(workload,))
         rows = []
         for profile in MODEL_PROFILES:
             cell = grid[(profile.name, workload)]
@@ -345,8 +347,8 @@ def fig9_token_type_fn(runner: ExperimentRunner) -> ExperimentResult:
     )
 
 
-def table5_token_loc(runner: ExperimentRunner) -> ExperimentResult:
-    grid = runner.run_task("miss_token")
+def table5_token_loc(engine: ExperimentEngine) -> ExperimentResult:
+    grid = engine.run_task("miss_token")
     rows = metrics_table(grid, "location")
     for row in rows:
         display = str(row["Model"])
@@ -363,8 +365,8 @@ def table5_token_loc(runner: ExperimentRunner) -> ExperimentResult:
     )
 
 
-def table6_performance(runner: ExperimentRunner) -> ExperimentResult:
-    grid = runner.run_task("performance_pred")
+def table6_performance(engine: ExperimentEngine) -> ExperimentResult:
+    grid = engine.run_task("performance_pred")
     rows = metrics_table(grid, "binary")
     for row in rows:
         reference = paper.PAPER_TABLE6.get(str(row["Model"]))
@@ -379,8 +381,8 @@ def table6_performance(runner: ExperimentRunner) -> ExperimentResult:
     )
 
 
-def fig10_perf_failures(runner: ExperimentRunner) -> ExperimentResult:
-    grid = runner.run_task("performance_pred")
+def fig10_perf_failures(engine: ExperimentEngine) -> ExperimentResult:
+    grid = engine.run_task("performance_pred")
     cell = grid[("mistral", "sdss")]
     blocks = []
     data = {}
@@ -403,8 +405,8 @@ def fig10_perf_failures(runner: ExperimentRunner) -> ExperimentResult:
     )
 
 
-def table7_query_equiv(runner: ExperimentRunner) -> ExperimentResult:
-    grid = runner.run_task("query_equiv")
+def table7_query_equiv(engine: ExperimentEngine) -> ExperimentResult:
+    grid = engine.run_task("query_equiv")
     binary_rows = _grid_rows_with_paper(grid, "binary", paper.PAPER_TABLE7_BINARY)
     typed_rows = _grid_rows_with_paper(grid, "typed", paper.PAPER_TABLE7_TYPED)
     text = (
@@ -420,12 +422,12 @@ def table7_query_equiv(runner: ExperimentRunner) -> ExperimentResult:
     )
 
 
-def fig11_equiv_wordcount(runner: ExperimentRunner) -> ExperimentResult:
+def fig11_equiv_wordcount(engine: ExperimentEngine) -> ExperimentResult:
     panels = (("gpt35", "sdss"), ("llama3", "join_order"))
     blocks = []
     data = {}
     for model, workload in panels:
-        grid = runner.run_task("query_equiv", workloads=(workload,))
+        grid = engine.run_task("query_equiv", workloads=(workload,))
         cell = grid[(model, workload)]
         breakdown = property_breakdown(
             cell.dataset.instances, cell.answers, "word_count"
@@ -448,12 +450,12 @@ def fig11_equiv_wordcount(runner: ExperimentRunner) -> ExperimentResult:
     )
 
 
-def fig12_equiv_predicates(runner: ExperimentRunner) -> ExperimentResult:
+def fig12_equiv_predicates(engine: ExperimentEngine) -> ExperimentResult:
     panels = (("gemini", "sdss"), ("mistral", "join_order"))
     blocks = []
     data = {}
     for model, workload in panels:
-        grid = runner.run_task("query_equiv", workloads=(workload,))
+        grid = engine.run_task("query_equiv", workloads=(workload,))
         cell = grid[(model, workload)]
         breakdown = property_breakdown(
             cell.dataset.instances, cell.answers, "predicate_count"
@@ -482,8 +484,8 @@ def fig12_equiv_predicates(runner: ExperimentRunner) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def case_query_explanation(runner: ExperimentRunner) -> ExperimentResult:
-    grid = runner.run_task("query_exp")
+def case_query_explanation(engine: ExperimentEngine) -> ExperimentResult:
+    grid = engine.run_task("query_exp")
     blocks = []
     summary_rows = []
     data: dict[str, object] = {}

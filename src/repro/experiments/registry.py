@@ -1,22 +1,21 @@
 """Registry mapping artifact ids to experiment functions.
 
-Every experiment function takes an :class:`ExperimentRunner`, so the
-whole paper grid inherits the runner's engine configuration — pass a
-runner built with ``workers=N`` / ``cache_dir=...`` and all
-tables/figures evaluate through the parallel chunked engine and its
-result cache.
+Every experiment function takes an :class:`~repro.engine.ExperimentEngine`,
+so the whole paper grid inherits one engine configuration — pass
+``ExperimentEngine(EngineConfig(workers=N, cache_dir=...))`` and all
+tables/figures evaluate through the work queue and the result cache.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.evalfw.runner import ExperimentRunner
+from repro.engine.core import ExperimentEngine
 from repro.experiments import artifacts
 from repro.experiments.artifacts import ExperimentResult
 
 #: artifact id -> (description, function).
-EXPERIMENTS: dict[str, tuple[str, Callable[[ExperimentRunner], ExperimentResult]]] = {
+EXPERIMENTS: dict[str, tuple[str, Callable[[ExperimentEngine], ExperimentResult]]] = {
     "table1": ("Skill-to-task mapping", artifacts.table1_skill_map),
     "table2": ("Workload statistics overview", artifacts.table2_workload_stats),
     "fig1": ("SDSS statistics histograms", artifacts.fig1_sdss_stats),
@@ -53,13 +52,13 @@ PER_INSTANCE_ARTIFACTS: frozenset[str] = frozenset(
 
 
 def run_experiment(
-    artifact: str, runner: ExperimentRunner | None = None
+    artifact: str, engine: ExperimentEngine | None = None
 ) -> ExperimentResult:
-    """Run one artifact reproduction (fresh runner if none is shared)."""
+    """Run one artifact reproduction (fresh engine if none is shared)."""
     try:
         _, function = EXPERIMENTS[artifact]
     except KeyError:
         raise KeyError(
             f"unknown artifact {artifact!r}; expected one of {sorted(EXPERIMENTS)}"
         ) from None
-    return function(runner or ExperimentRunner())
+    return function(engine or ExperimentEngine())

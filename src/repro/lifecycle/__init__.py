@@ -11,6 +11,7 @@ the same temp+rename discipline.  The *interrupt* layer
 drain — stop dispatching, checkpoint, flush the journal, exit with a
 dedicated code — so ``repro run --resume RUN_ID`` can reload the
 journal and finish the grid with byte-identical final metrics.
+:mod:`repro.lifecycle.layout` names the default directories and ids.
 """
 
 from repro.lifecycle.interrupt import (

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 import traceback as traceback_module
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
 from repro.lifecycle.atomic import write_atomic
+from repro.lifecycle.layout import new_run_id, utc_now
 
 #: Bump when the journal format changes incompatibly.
 JOURNAL_VERSION = 1
@@ -58,23 +58,6 @@ _TRACEBACK_LIMIT = 4000
 
 class JournalError(Exception):
     """A journal is missing, ambiguous, or unreadable."""
-
-
-def _utc_now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-
-
-def _run_id(created_at: str, content: str) -> str:
-    """Sortable run id: compact timestamp + short content hash.
-
-    Same shape as :func:`repro.reporting.run_record.new_run_id` (kept
-    in sync by test) so journal directories and run-record files for
-    one run share an id without the lifecycle layer importing the
-    reporting layer.
-    """
-    stamp = created_at.replace("-", "").replace(":", "").replace("Z", "")
-    digest = hashlib.sha256(content.encode("utf-8")).hexdigest()[:8]
-    return f"{stamp}-{digest}"
 
 
 @dataclass(frozen=True)
@@ -195,9 +178,9 @@ class RunJournal:
         grid (it becomes ``manifest["config"]``, which ``--resume``
         feeds back through the CLI's run construction).
         """
-        created = created_at or _utc_now()
+        created = created_at or utc_now()
         content = json.dumps(config, sort_keys=True)
-        run_id = _run_id(created, content)
+        run_id = new_run_id(created, content)
         root = Path(runs_dir) / run_id / "journal"
         (root / "cells").mkdir(parents=True, exist_ok=True)
         manifest = {
@@ -284,7 +267,7 @@ class RunJournal:
         payload = {
             "cell": descriptor,
             "state": state,
-            "updated_at": _utc_now(),
+            "updated_at": utc_now(),
         }
         if failure is not None:
             payload["failure"] = failure.as_dict()

@@ -27,7 +27,6 @@ from repro.llm.difficulty import (
 )
 from repro.llm.profiles import (
     EQUIVALENCE,
-    EXPLANATION,
     PERFORMANCE,
     SYNTAX,
     TOKEN,

@@ -44,19 +44,16 @@ from repro.reporting.paper_refs import (
     paper_typed,
 )
 from repro.reporting.run_record import (
-    DEFAULT_RUNS_DIR,
     LOWER_IS_BETTER,
     RECORD_VERSION,
     CellRecord,
     RunRecord,
     RunRecordStore,
     cell_record_from_result,
-    new_run_id,
     record_from_engine,
 )
 
 __all__ = [
-    "DEFAULT_RUNS_DIR",
     "DEFAULT_THRESHOLD",
     "LOWER_IS_BETTER",
     "PAPER_TABLE_LABELS",
@@ -69,7 +66,6 @@ __all__ = [
     "RunRecordStore",
     "cell_record_from_result",
     "compare_runs",
-    "new_run_id",
     "paper_binary",
     "paper_f1_delta",
     "paper_location",

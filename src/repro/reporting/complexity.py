@@ -27,7 +27,7 @@ from repro.tasks.base import TaskInstance
 from repro.workloads.synthetic import is_synthetic, stratum_of_query_id
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.evalfw.runner import CellResult
+    from repro.evalfw.accumulate import CellResult
     from repro.reporting.html import GridMap
 
 #: Properties charted as scaling curves, with their bucket edges.

@@ -30,7 +30,7 @@ from repro.reporting.paper_refs import (
 from repro.reporting.run_record import CellRecord, RunRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.evalfw.runner import CellResult
+    from repro.evalfw.accumulate import CellResult
 
 #: ``{task: {(model, workload): CellResult}}`` — the optional live grids.
 GridMap = dict[str, dict[tuple[str, str], "CellResult"]]

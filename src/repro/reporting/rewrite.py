@@ -23,7 +23,7 @@ from repro.tasks.base import REWRITE_TASKS, TaskInstance
 from repro.workloads.synthetic import is_rewrite_workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.evalfw.runner import CellResult
+    from repro.evalfw.accumulate import CellResult
     from repro.reporting.html import GridMap
 
 

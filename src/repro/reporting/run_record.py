@@ -16,24 +16,20 @@ the input to the Markdown/HTML/JSON report bundle
 
 from __future__ import annotations
 
-import hashlib
 import json
-import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from repro.lifecycle import CellFailure
+from repro.lifecycle.layout import DEFAULT_RUNS_DIR, new_run_id, utc_now
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.core import ExperimentEngine
-    from repro.evalfw.runner import CellResult
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.engine.core import EngineConfig, ExperimentEngine
+    from repro.evalfw.accumulate import CellResult
 
 #: Bump when the serialised record format changes incompatibly.
 RECORD_VERSION = 1
-
-#: Default on-disk home of run records, relative to the working dir.
-DEFAULT_RUNS_DIR = Path("results/runs")
 
 #: Metrics where a *lower* value is better (everything else: higher).
 LOWER_IS_BETTER: frozenset[str] = frozenset(
@@ -211,6 +207,29 @@ class RunRecord:
                 return candidate
         return None
 
+    def replay_config(
+        self, *, cache_dir: Optional[Path], workers: int = 1
+    ) -> "EngineConfig":
+        """The engine configuration that re-reads this run's cells.
+
+        The run's seed, instance cap and backend, so every cell key
+        matches what it cached, minus a recording run's ``mode`` option:
+        a report replays and never re-records (record mode bypasses the
+        cell cache).
+        """
+        from repro.engine.core import EngineConfig
+        from repro.llm.backends import BackendSpec
+
+        options = dict(self.backend_options)
+        options.pop("mode", None)
+        return EngineConfig(
+            seed=self.seed,
+            workers=workers,
+            cache_dir=cache_dir,
+            max_instances=self.max_instances,
+            backend=BackendSpec.build(self.backend, options),
+        )
+
     def with_identity(self, other: "RunRecord") -> "RunRecord":
         """This record's metrics under ``other``'s identity and config.
 
@@ -313,17 +332,6 @@ class RunRecord:
         return cls.from_dict(json.loads(text))
 
 
-def _utc_now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-
-
-def new_run_id(created_at: str, content: str) -> str:
-    """Sortable run id: compact timestamp + short content hash."""
-    stamp = created_at.replace("-", "").replace(":", "").replace("Z", "")
-    digest = hashlib.sha256(content.encode("utf-8")).hexdigest()[:8]
-    return f"{stamp}-{digest}"
-
-
 def record_from_engine(
     engine: "ExperimentEngine",
     *,
@@ -388,7 +396,7 @@ def record_from_engine(
                 seconds=seconds,
             )
         )
-    created = created_at or _utc_now()
+    created = created_at or utc_now()
     config = engine.config
     cache_stats = (
         engine.cache.stats.as_dict() if engine.cache is not None else {}

@@ -15,7 +15,6 @@ from repro.server.app import EvalServer, ServerConfig
 from repro.server.client import ServiceClient, ServiceError
 from repro.server.jobs import (
     ATTACHABLE_STATES,
-    DEFAULT_JOBS_DIR,
     JOB_CANCELLED,
     JOB_DONE,
     JOB_FAILED,
@@ -34,7 +33,6 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ATTACHABLE_STATES",
-    "DEFAULT_JOBS_DIR",
     "JOB_QUEUED",
     "JOB_RUNNING",
     "JOB_DONE",

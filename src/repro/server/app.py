@@ -39,8 +39,13 @@ from pathlib import Path
 from typing import Callable, Optional
 from urllib.parse import parse_qs, urlsplit
 
-from repro.server.jobs import (
+from repro.lifecycle.layout import (
+    DEFAULT_CACHE_DIR,
     DEFAULT_JOBS_DIR,
+    DEFAULT_REPORTS_DIR,
+    DEFAULT_RUNS_DIR,
+)
+from repro.server.jobs import (
     JOB_CANCELLED,
     JOB_DONE,
     JOB_FAILED,
@@ -79,9 +84,9 @@ class ServerConfig:
     port: int = 0
     max_concurrent_jobs: int = 1
     jobs_dir: Path = DEFAULT_JOBS_DIR
-    runs_dir: Path = Path("results/runs")
-    cache_dir: Path = Path(".repro-cache")
-    reports_dir: Path = Path("reports")
+    runs_dir: Path = DEFAULT_RUNS_DIR
+    cache_dir: Path = DEFAULT_CACHE_DIR
+    reports_dir: Path = DEFAULT_REPORTS_DIR
     #: Per-client request rate (None = unlimited) and burst allowance.
     rate_limit_rps: Optional[float] = None
     rate_limit_burst: Optional[float] = None

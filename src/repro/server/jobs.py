@@ -25,18 +25,15 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
 from repro.lifecycle.atomic import write_atomic
+from repro.lifecycle.layout import stamped_id, utc_now
 
 #: Bump when the job file format changes incompatibly.
 JOBS_VERSION = 1
-
-#: Default on-disk home of the job queue, next to ``results/runs``.
-DEFAULT_JOBS_DIR = Path("results/jobs")
 
 JOB_QUEUED = "queued"
 JOB_RUNNING = "running"
@@ -69,10 +66,6 @@ class JobError(Exception):
 
 class JobStateError(JobError):
     """An illegal state-machine transition was attempted."""
-
-
-def _utc_now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 @dataclass(frozen=True)
@@ -225,13 +218,11 @@ class JobStore:
                     attached = replace(
                         existing,
                         submissions=existing.submissions + 1,
-                        updated_at=_utc_now(),
+                        updated_at=utc_now(),
                     )
                     return self._write(attached), False
-            created_at = _utc_now()
-            stamp = created_at.replace("-", "").replace(":", "")
-            stamp = stamp.replace("Z", "")
-            base = f"{stamp}-{fingerprint[:8]}"
+            created_at = utc_now()
+            base = stamped_id(created_at, fingerprint)
             job_id = base
             suffix = 1
             while self._path(job_id).exists():
@@ -264,7 +255,7 @@ class JobStore:
                     f"for job {job_id}"
                 )
             updated = replace(
-                job, state=state, updated_at=_utc_now(), **fields
+                job, state=state, updated_at=utc_now(), **fields
             )
             return self._write(updated)
 
@@ -272,7 +263,7 @@ class JobStore:
         """Persist metadata fields without changing state."""
         with self._lock:
             job = self.get(job_id)
-            updated = replace(job, updated_at=_utc_now(), **fields)
+            updated = replace(job, updated_at=utc_now(), **fields)
             return self._write(updated)
 
     def claim_next(self) -> Optional[Job]:

@@ -39,7 +39,6 @@ from repro.sql.tokens import (
     K_VARIABLE,
     KIND_TO_CODE,
     Token,
-    TokenKind,
 )
 
 _COMPARISON_OPS = frozenset({"=", "<>", "!=", "<", ">", "<=", ">="})

@@ -182,6 +182,47 @@ class TestResumeOlderJournal:
         assert journal.states() == {"committed": len(reference)}
 
 
+class TestResumeRebuildsTheRun:
+    def test_resume_rebuilds_an_equal_engine_config(self, tmp_path):
+        """Every knob goes into the manifest and comes back out of it."""
+        from repro import execution
+
+        request = execution.RunRequest(
+            artifacts=("syntax_error", "miss_token"),
+            workload=SPEC,
+            seed=5,
+            workers=2,
+            chunk_size=16,
+            cache_dir=tmp_path / "cache",
+            runs_dir=tmp_path / "runs",
+            max_instances=7,
+            max_concurrency=4,
+            rps=50.0,
+            on_cell_error="degrade",
+            request_timeout=5.0,
+            cell_deadline=30.0,
+            breaker_threshold=3,
+        )
+        prepared = execution.prepare_run(request)
+        journal = execution.begin_journal(prepared, request.runs_dir)
+        _, resumed = execution.prepare_resume(request.runs_dir, journal.run_id)
+        assert resumed.engine_config == prepared.engine_config
+        assert (resumed.wanted, resumed.workload_name) == (
+            prepared.wanted,
+            prepared.workload_name,
+        )
+        assert resumed.fingerprint() == prepared.fingerprint()
+
+    def test_null_max_concurrency_of_older_journals_means_the_default(self):
+        from repro.engine import EngineConfig
+
+        fixture = Path(__file__).parents[1] / "fixtures" / "journals"
+        (manifest,) = fixture.glob("*/journal/manifest.json")
+        config = EngineConfig.from_dict(json.loads(manifest.read_text())["config"])
+        assert config.max_concurrency == EngineConfig().max_concurrency
+        assert config.max_instances == 40 and config.cache_dir == Path("cache")
+
+
 class TestSameFailuresAtEveryWorkerSetting:
     def test_degraded_cells_keep_their_error_class(self, tmp_path, capsys):
         """The worker ships a backend failure back as itself, so the

@@ -10,7 +10,6 @@ must hold for every combination:
 
 import random
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

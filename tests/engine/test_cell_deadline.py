@@ -14,7 +14,6 @@ import time
 import pytest
 
 from repro.engine import MATERIALISED_CHUNK_SIZE, EngineConfig, ExperimentEngine
-from repro.evalfw.runner import ExperimentRunner
 from repro.llm.backends import BACKENDS, BaseBackend, DeadlineExceededError
 from repro.llm.backends.base import BackendSpec
 from repro.llm.backends.simulated import SimulatedBackend
@@ -47,7 +46,8 @@ class _SlowAt(BaseBackend):
 @pytest.fixture
 def slow_spec(monkeypatch):
     """Slow on the last instance of chunk 0 (queue workers fork after)."""
-    dataset = ExperimentRunner(seed=SEED, max_instances=CAP).dataset(TASK, WORKLOAD)
+    engine = ExperimentEngine(EngineConfig(seed=SEED, max_instances=CAP))
+    dataset = engine.dataset(TASK, WORKLOAD)
     monkeypatch.setitem(BACKENDS, "slow_at", ("test backend", _SlowAt))
     last = dataset.instances[MATERIALISED_CHUNK_SIZE - 1]
     return BackendSpec.build("slow_at", {"instance": last.instance_id})
@@ -93,7 +93,7 @@ class TestCellDeadline:
     def test_queue_grants_each_chunk_the_full_budget(self, slow_spec, chunk_size):
         with _engine(slow_spec, 2, chunk_size) as engine:
             result = engine.run_cell("gpt4", TASK, WORKLOAD)
-        reference = ExperimentRunner(
-            seed=SEED, models=(GPT4,), max_instances=CAP
+        reference = ExperimentEngine(
+            EngineConfig(seed=SEED, max_instances=CAP), models=(GPT4,)
         ).run_cell("gpt4", TASK, WORKLOAD)
         assert (result.binary, result.typed) == (reference.binary, reference.typed)

@@ -10,7 +10,7 @@ import dataclasses
 import pytest
 
 from repro.engine import EngineConfig, ExperimentEngine
-from repro.evalfw.runner import ExperimentRunner, metrics_table
+from repro.evalfw import metrics_table
 from repro.llm.profiles import GEMINI, GPT4, SYNTAX
 from repro.llm.simulated import SimulatedLLM
 from repro.prompts.templates import PromptTemplate
@@ -29,8 +29,10 @@ class TestParallelEqualsSerial:
     """Worker counts 1 and 2 over cells that span several chunks."""
 
     def test_run_cell_identical_across_worker_counts(self):
-        serial = ExperimentRunner(seed=SEED, max_instances=WIDE_CAP)
-        parallel = ExperimentRunner(seed=SEED, max_instances=WIDE_CAP, workers=2)
+        serial = ExperimentEngine(EngineConfig(seed=SEED, max_instances=WIDE_CAP))
+        parallel = ExperimentEngine(
+            EngineConfig(seed=SEED, max_instances=WIDE_CAP, workers=2)
+        )
         try:
             a = serial.run_cell("gpt4", "syntax_error", "sdss")
             b = parallel.run_cell("gpt4", "syntax_error", "sdss")
@@ -41,8 +43,10 @@ class TestParallelEqualsSerial:
         assert _metrics(a) == _metrics(b)
 
     def test_run_task_grid_identical_across_worker_counts(self):
-        serial = ExperimentRunner(seed=SEED, max_instances=WIDE_CAP)
-        parallel = ExperimentRunner(seed=SEED, max_instances=WIDE_CAP, workers=2)
+        serial = ExperimentEngine(EngineConfig(seed=SEED, max_instances=WIDE_CAP))
+        parallel = ExperimentEngine(
+            EngineConfig(seed=SEED, max_instances=WIDE_CAP, workers=2)
+        )
         try:
             grid_a = serial.run_task("performance_pred")
             grid_b = parallel.run_task("performance_pred")
@@ -57,8 +61,8 @@ class TestParallelEqualsSerial:
         """Whole datasets (up to a few hundred instances) and a chunk
         remainder in every cell; workers also build the datasets."""
         models = (GPT4, GEMINI)
-        serial = ExperimentRunner(seed=SEED, models=models)
-        parallel = ExperimentRunner(seed=SEED, models=models, workers=2)
+        serial = ExperimentEngine(EngineConfig(seed=SEED), models=models)
+        parallel = ExperimentEngine(EngineConfig(seed=SEED, workers=2), models=models)
         try:
             grid_a = serial.run_task("miss_token")
             grid_b = parallel.run_task("miss_token")
@@ -201,9 +205,45 @@ class TestCacheServedRuns:
 
 
 class TestEngineConfig:
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            EngineConfig(workers=0)
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("workers", 0),
+            ("chunk_size", 0),
+            ("max_concurrency", 0),
+            ("rps", 0.0),
+            ("max_instances", 0),
+            ("on_cell_error", "ignore"),
+            ("request_timeout", 0.0),
+            ("cell_deadline", -1.0),
+            ("breaker_threshold", -1),
+        ],
+    )
+    def test_rejects_out_of_range_knob(self, knob, value):
+        # The message starts with the knob's name: prepare_run respells
+        # it as the flag the user typed.
+        with pytest.raises(ValueError, match=f"^{knob} must be "):
+            EngineConfig(**{knob: value})
+
+    def test_dict_round_trip(self, tmp_path):
+        from repro.llm.backends import BackendSpec
+
+        config = EngineConfig(
+            seed=4,
+            workers=2,
+            cache_dir=tmp_path / "cache",
+            max_instances=9,
+            chunk_size=16,
+            backend=BackendSpec.build("replay", {"dir": "fx"}),
+            max_concurrency=3,
+            rps=20.0,
+            on_cell_error="degrade",
+            request_timeout=1.5,
+            cell_deadline=60.0,
+            breaker_threshold=2,
+        )
+        assert EngineConfig.from_dict(config.as_dict()) == config
+        assert EngineConfig.from_dict({}) == EngineConfig()
 
     def test_unknown_model_raises(self):
         engine = ExperimentEngine(EngineConfig(), models=(GPT4,))

@@ -15,11 +15,11 @@ import pytest
 
 from repro.engine import ChunkSpec, EngineConfig, ExperimentEngine, evaluate_chunk
 from repro.engine.streaming import StreamFault
-from repro.evalfw.runner import ExperimentRunner
 from repro.llm.backends import BACKENDS, BackendError, BaseBackend
 from repro.llm.backends.base import BackendSpec
 from repro.llm.backends.simulated import SimulatedBackend
 from repro.llm.profiles import GEMINI, GPT4, MODEL_PROFILES
+from repro.reporting.run_record import record_from_engine
 
 SEED = 3
 CAP = 12
@@ -59,8 +59,8 @@ def _answers(grid):
 
 class TestChunkEvaluation:
     def test_evaluate_chunk_matches_in_process_answers(self):
-        runner = ExperimentRunner(seed=SEED, max_instances=CAP)
-        cell = runner.run_cell("gpt4", "syntax_error", "sdss")
+        engine = ExperimentEngine(EngineConfig(seed=SEED, max_instances=CAP))
+        cell = engine.run_cell("gpt4", "syntax_error", "sdss")
         answers, seconds = evaluate_chunk(
             ChunkSpec(
                 profile=GPT4,
@@ -74,10 +74,10 @@ class TestChunkEvaluation:
 
 class TestParallelTiming:
     def test_parallel_cells_report_real_seconds(self, tmp_path: Path):
-        parallel = ExperimentRunner(
-            seed=SEED, max_instances=WIDE_CAP, workers=2, cache_dir=tmp_path
+        parallel = ExperimentEngine(
+            EngineConfig(seed=SEED, max_instances=WIDE_CAP, workers=2, cache_dir=tmp_path)
         )
-        serial = ExperimentRunner(seed=SEED, max_instances=WIDE_CAP)
+        serial = ExperimentEngine(EngineConfig(seed=SEED, max_instances=WIDE_CAP))
         try:
             theirs = parallel.run_cell("gpt4", "syntax_error", "sdss")
             ours = serial.run_cell("gpt4", "syntax_error", "sdss")
@@ -85,7 +85,7 @@ class TestParallelTiming:
             parallel.close()
         assert theirs.answers == ours.answers
         computed = [
-            entry for entry in parallel.engine.cell_log if not entry.cached
+            entry for entry in parallel.cell_log if not entry.cached
         ]
         assert computed
         for entry in computed:
@@ -94,22 +94,22 @@ class TestParallelTiming:
             assert entry.chunk_seconds_max < entry.seconds
 
     def test_run_record_carries_parallel_seconds(self, tmp_path: Path):
-        runner = ExperimentRunner(
-            seed=SEED, max_instances=CAP, workers=2, cache_dir=tmp_path
+        engine = ExperimentEngine(
+            EngineConfig(seed=SEED, max_instances=CAP, workers=2, cache_dir=tmp_path)
         )
         try:
-            runner.run_cell("gpt4", "syntax_error", "sdss")
-            record = runner.run_record()
+            engine.run_cell("gpt4", "syntax_error", "sdss")
+            record = record_from_engine(engine)
         finally:
-            runner.close()
+            engine.close()
         cells = [cell for cell in record.cells if not cell.cached]
         assert cells and all(cell.seconds is not None for cell in cells)
 
 
 class TestSeveralCellsInFlight:
     def test_grid_log_and_stats_match_the_in_process_loop(self):
-        serial = ExperimentRunner(seed=SEED, max_instances=WIDE_CAP)
-        pooled = ExperimentRunner(seed=SEED, max_instances=WIDE_CAP, workers=2)
+        serial = ExperimentEngine(EngineConfig(seed=SEED, max_instances=WIDE_CAP))
+        pooled = ExperimentEngine(EngineConfig(seed=SEED, max_instances=WIDE_CAP, workers=2))
         try:
             grid_a = serial.run_task("syntax_error")
             grid_b = pooled.run_task("syntax_error")
@@ -117,15 +117,15 @@ class TestSeveralCellsInFlight:
             pooled.close()
         assert list(grid_a) == list(grid_b)
         assert _answers(grid_a) == _answers(grid_b)
-        order = [(e.model, e.workload) for e in serial.engine.cell_log]
-        assert [(e.model, e.workload) for e in pooled.engine.cell_log] == order
-        stats = pooled.engine.stream_stats()
+        order = [(e.model, e.workload) for e in serial.cell_log]
+        assert [(e.model, e.workload) for e in pooled.cell_log] == order
+        stats = pooled.stream_stats()
         assert stats["cells"] == len(grid_b)
         assert stats["instances"] == sum(
             len(cell.answers) for cell in grid_b.values()
         )
         assert stats["chunks"] > stats["cells"]  # cells span several chunks
-        assert serial.engine.stream_stats() is None
+        assert serial.stream_stats() is None
 
     def test_cells_commit_in_request_order(self, unwell):
         """gpt4's cell finishes last but still commits first."""
@@ -150,8 +150,8 @@ class TestSeveralCellsInFlight:
         assert [(f.model, f.error_class) for f in engine.failures] == [
             ("gemini", "BackendError")
         ]
-        reference = ExperimentRunner(
-            seed=SEED, models=(GPT4,), max_instances=WIDE_CAP
+        reference = ExperimentEngine(
+            EngineConfig(seed=SEED, max_instances=WIDE_CAP), models=(GPT4,)
         ).run_task("performance_pred")
         assert _answers(grid) == _answers(reference)
 
@@ -166,15 +166,15 @@ class TestSeveralCellsInFlight:
             assert [e.model for e in engine.cell_log] == ["gpt4"]
 
     def test_killed_worker_chunk_is_redispatched(self):
-        reference = ExperimentRunner(seed=SEED, max_instances=WIDE_CAP)
-        pooled = ExperimentRunner(seed=SEED, max_instances=WIDE_CAP, workers=2)
+        reference = ExperimentEngine(EngineConfig(seed=SEED, max_instances=WIDE_CAP))
+        pooled = ExperimentEngine(EngineConfig(seed=SEED, max_instances=WIDE_CAP, workers=2))
         try:
-            pooled.engine.streaming.fault = StreamFault(kind="crash", chunk=1)
+            pooled.streaming.fault = StreamFault(kind="crash", chunk=1)
             grid = pooled.run_task("performance_pred")
         finally:
             pooled.close()
         assert _answers(grid) == _answers(reference.run_task("performance_pred"))
-        assert pooled.engine.stream_stats()["redispatched"] >= 1
+        assert pooled.stream_stats()["redispatched"] >= 1
 
 
 class TestDatasetBuildsOnWorkers:
@@ -186,25 +186,22 @@ class TestDatasetBuildsOnWorkers:
         def parent_build(*args, **kwargs):
             raise AssertionError("the parent must not build a dataset")
 
-        reference = ExperimentRunner(seed=SEED, max_instances=CAP)
+        reference = ExperimentEngine(EngineConfig(seed=SEED, max_instances=CAP))
         expected = {
             workload: reference.dataset("miss_token", workload)
             for workload in ("sdss", "sqlshare", "join_order")
         }
         monkeypatch.setattr(core, "build_dataset", parent_build)
-        runner = ExperimentRunner(
-            seed=SEED,
+        engine = ExperimentEngine(
+            EngineConfig(seed=SEED, max_instances=CAP, workers=2, cache_dir=tmp_path),
             models=MODEL_PROFILES[:2],
-            max_instances=CAP,
-            workers=2,
-            cache_dir=tmp_path,
         )
         try:
-            grid = runner.run_task("miss_token")
+            grid = engine.run_task("miss_token")
         finally:
-            runner.close()
+            engine.close()
         assert {workload for _, workload in grid} == set(expected)
         for workload, dataset in expected.items():
-            built = runner.dataset("miss_token", workload)
+            built = engine.dataset("miss_token", workload)
             assert built.instances == dataset.instances
-        assert len(runner.engine.cache.dataset_entries()) == len(expected)
+        assert len(engine.cache.dataset_entries()) == len(expected)

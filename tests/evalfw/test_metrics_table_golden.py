@@ -1,7 +1,7 @@
 """Golden-file regression for ``metrics_table``.
 
 Locks row ordering (paper model order, display names) and column naming
-(``<workload>.<Metric>``) against refactors of the runner/engine.  The
+(``<workload>.<Metric>``) against refactors of the engine.  The
 grid is synthetic — hand-built instances and answers — so the golden
 file only moves when the table *shape or arithmetic* changes, never when
 model calibration does.
@@ -14,7 +14,7 @@ Regenerate after an intentional change with:
 import json
 from pathlib import Path
 
-from repro.evalfw.runner import CellResult, metrics_table
+from repro.evalfw import CellResult, metrics_table
 from repro.tasks.base import ModelAnswer, TaskDataset, TaskInstance
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "metrics_table.json"

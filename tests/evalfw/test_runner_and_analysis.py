@@ -1,11 +1,17 @@
-"""End-to-end runner tests and the paper's headline invariants."""
+"""End-to-end engine tests and the paper's headline invariants."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.engine import EngineConfig, ExperimentEngine
 from repro.evalfw import (
     FN,
     TP,
-    ExperimentRunner,
     group_by_outcome,
     metrics_table,
     outcome,
@@ -16,18 +22,18 @@ from repro.llm.profiles import MODEL_PROFILES
 
 
 @pytest.fixture(scope="module")
-def runner():
-    return ExperimentRunner(seed=0)
+def engine():
+    return ExperimentEngine(EngineConfig(seed=0))
 
 
 @pytest.fixture(scope="module")
-def syntax_grid(runner):
-    return runner.run_task("syntax_error")
+def syntax_grid(engine):
+    return engine.run_task("syntax_error")
 
 
 @pytest.fixture(scope="module")
-def perf_grid(runner):
-    return runner.run_task("performance_pred")
+def perf_grid(engine):
+    return engine.run_task("performance_pred")
 
 
 class TestOutcomes:
@@ -82,7 +88,7 @@ class TestHeadlineInvariants:
         assert metrics.recall > 0.8
         assert metrics.precision < 0.6  # paper: 0.47
 
-    def test_type_task_harder_than_binary(self, runner, syntax_grid):
+    def test_type_task_harder_than_binary(self, engine, syntax_grid):
         """Multi-class F1 <= binary F1 for nearly every cell (section 4.1)."""
         wins = 0
         total = 0
@@ -145,9 +151,9 @@ class TestFailureAnalysis:
 
 
 class TestRunnerMechanics:
-    def test_dataset_caching(self, runner):
-        first = runner.dataset("syntax_error", "sdss")
-        second = runner.dataset("syntax_error", "sdss")
+    def test_dataset_caching(self, engine):
+        first = engine.dataset("syntax_error", "sdss")
+        second = engine.dataset("syntax_error", "sdss")
         assert first is second
 
     def test_cell_answers_align(self, syntax_grid):
@@ -165,10 +171,18 @@ class TestRunnerMechanics:
             metrics_table(syntax_grid, "exotic")
 
     def test_reproducible_across_runners(self):
-        first = ExperimentRunner(seed=3, max_instances=40)
-        second = ExperimentRunner(seed=3, max_instances=40)
+        first = ExperimentEngine(EngineConfig(seed=3, max_instances=40))
+        second = ExperimentEngine(EngineConfig(seed=3, max_instances=40))
         cell_a = first.run_cell("gpt4", "syntax_error", "sdss")
         cell_b = second.run_cell("gpt4", "syntax_error", "sdss")
         assert [a.predicted for a in cell_a.answers] == [
             b.predicted for b in cell_b.answers
         ]
+
+
+class TestLayering:
+    def test_evalfw_does_not_import_the_engine(self):
+        """evalfw sits below the engine: importing it loads no engine code."""
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        check = "import sys, repro.evalfw; assert 'repro.engine.core' not in sys.modules"
+        subprocess.run([sys.executable, "-c", check], env=env, check=True)

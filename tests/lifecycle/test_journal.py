@@ -15,26 +15,27 @@ from repro.lifecycle import (
     JournalError,
     RunJournal,
 )
-from repro.lifecycle.journal import _run_id, cell_descriptor, cell_id_for
-from repro.reporting.run_record import new_run_id
+from repro.lifecycle.journal import cell_descriptor, cell_id_for
+from repro.lifecycle.layout import new_run_id
+from repro.reporting import run_record
 
 CONFIG = {"workload": "sdss", "artifacts": ["syntax_error"], "seed": 0}
 
 
 class TestRunId:
-    def test_matches_reporting_run_id_scheme(self):
-        # journal._run_id deliberately duplicates reporting.new_run_id
-        # (the lifecycle layer must not import reporting); this test is
-        # the sync contract between the two copies.
+    def test_matches_reporting_run_id_scheme(self, tmp_path):
+        # Journals and run records name runs with one helper, so a
+        # journalled run and its record can share an id.
         created = "2026-08-08T01:02:03Z"
-        for content in ("", "x", json.dumps(CONFIG, sort_keys=True)):
-            assert _run_id(created, content) == new_run_id(created, content)
+        journal = RunJournal.begin(tmp_path, CONFIG, created_at=created)
+        assert journal.run_id == new_run_id(created, json.dumps(CONFIG, sort_keys=True))
+        assert run_record.new_run_id is new_run_id
 
     def test_sortable_and_content_addressed(self):
-        a = _run_id("2026-08-08T01:02:03Z", "a")
-        b = _run_id("2026-08-09T01:02:03Z", "a")
+        a = new_run_id("2026-08-08T01:02:03Z", "a")
+        b = new_run_id("2026-08-09T01:02:03Z", "a")
         assert a < b
-        assert _run_id("2026-08-08T01:02:03Z", "b") != a
+        assert new_run_id("2026-08-08T01:02:03Z", "b") != a
 
 
 class TestBeginAndLoad:

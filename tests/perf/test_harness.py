@@ -1,14 +1,20 @@
 """The measurement harness's gates (``benchmarks/harness.py``).
 
 The harness lives outside ``src/``, so it is loaded by path.  Its gates
-are checked on stubbed measurements: no test here times anything or
-starts a process.
+are checked on stubbed measurements: no test here times anything.  One
+test starts the harness's fresh child process, to check that it dies
+with the harness.
 """
 
 import importlib.util
 import json
+import os
 import platform
+import signal
 import statistics
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -405,6 +411,75 @@ class TestFullRun:
     def test_exits_1_on_wrong_numbers(self, stub, tmp_path, breaks):
         breaks(stub)
         assert harness.run_full(2, 0, (1_000, 2_000), tmp_path / "full.json") == 1
+
+
+def _children(pid: int) -> list[int]:
+    """Pids whose parent is *pid*, read from ``/proc/<pid>/stat``."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            after_name = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(after_name[1]) == pid:
+            found.append(int(stat.parent.name))
+    return found
+
+
+def _running(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"  # a zombie has exited
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs procfs")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT], ids=["TERM", "INT"])
+def test_no_process_outlives_a_signalled_harness(signum):
+    """A harness blocked in ``in_fresh_process`` is signalled: within a
+    few seconds nothing it started is still running."""
+    script = "\n".join(
+        [
+            "import signal, sys, time",
+            "signal.signal(signal.SIGINT, signal.default_int_handler)",
+            f"sys.path.insert(0, {str(HARNESS_PATH.parent)!r})",
+            "import harness",
+            "harness.in_fresh_process(time.sleep, 60)",
+        ]
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script], stderr=subprocess.DEVNULL
+    )
+    started: list[int] = []
+    survivors: list[int] = []
+    try:
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            started = _children(proc.pid)
+            spawned = [
+                pid
+                for pid in started
+                if b"spawn_main" in Path(f"/proc/{pid}/cmdline").read_bytes()
+            ]
+            if spawned:
+                break
+            time.sleep(0.05)
+        assert started, "the harness started no fresh process"
+        time.sleep(0.5)  # let the child reach fn
+        os.kill(proc.pid, signum)
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        survivors = [pid for pid in started if _running(pid)]
+        while survivors and time.monotonic() < deadline:
+            time.sleep(0.1)
+            survivors = [pid for pid in survivors if _running(pid)]
+    finally:
+        for pid in [proc.pid, *started]:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+        proc.wait(timeout=10)
+    assert survivors == []
 
 
 def test_zero_workers_is_a_usage_error(capsys):

@@ -86,12 +86,12 @@ class TestFewShotPrompt:
     def test_engine_answers_a_few_shot_cell(self, sdss_dataset):
         """A few-shot prompt takes the grid's route and gets its own cache key."""
         from repro.engine.cache import prompt_fingerprint
-        from repro.evalfw.runner import ExperimentRunner
+        from repro.engine import EngineConfig, ExperimentEngine
 
         prompt = build_few_shot_prompt(
             "syntax_error", sdss_dataset.instances[:3], shots=3
         )
-        cell = ExperimentRunner(seed=0, max_instances=10).run_cell(
+        cell = ExperimentEngine(EngineConfig(seed=0, max_instances=10)).run_cell(
             "gemini", "syntax_error", "sdss", prompt
         )
         assert len(cell.answers) == 10

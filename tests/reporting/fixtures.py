@@ -7,7 +7,7 @@ changes, never when model calibration does.
 
 from __future__ import annotations
 
-from repro.evalfw.runner import CellResult
+from repro.evalfw.accumulate import CellResult
 from repro.reporting.run_record import CellRecord, RunRecord
 from repro.tasks.base import ModelAnswer, TaskDataset, TaskInstance
 

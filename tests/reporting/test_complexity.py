@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.evalfw.runner import ExperimentRunner
+from repro.engine import EngineConfig, ExperimentEngine
 from repro.reporting.complexity import (
     property_rows,
     render_complexity_section,
@@ -15,12 +15,12 @@ WORKLOAD = "synthetic:default:n=4"
 
 @pytest.fixture(scope="module")
 def grids():
-    runner = ExperimentRunner(max_instances=30)
+    engine = ExperimentEngine(EngineConfig(max_instances=30))
     try:
-        cell = runner.run_cell("gpt4", "syntax_error", WORKLOAD)
-        other = runner.run_cell("gemini", "syntax_error", WORKLOAD)
+        cell = engine.run_cell("gpt4", "syntax_error", WORKLOAD)
+        other = engine.run_cell("gemini", "syntax_error", WORKLOAD)
     finally:
-        runner.close()
+        engine.close()
     return {"syntax_error": {("gpt4", WORKLOAD): cell, ("gemini", WORKLOAD): other}}
 
 

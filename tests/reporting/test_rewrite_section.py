@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.evalfw.runner import ExperimentRunner
+from repro.engine import EngineConfig, ExperimentEngine
 from repro.reporting.rewrite import (
     family_rows,
     instance_families,
@@ -17,19 +17,19 @@ WORKLOAD = "synthetic:rewrite:n=4"
 
 
 @pytest.fixture(scope="module")
-def runner():
-    runner = ExperimentRunner(max_instances=20)
-    yield runner
-    runner.close()
+def engine():
+    engine = ExperimentEngine(EngineConfig(max_instances=20))
+    yield engine
+    engine.close()
 
 
 @pytest.fixture(scope="module")
-def grids(runner):
+def grids(engine):
     cells = {}
     for task in (REWRITE_EQUIVALENCE, REWRITE_SPEEDUP):
         cells[task] = {
-            ("gpt4", WORKLOAD): runner.run_cell("gpt4", task, WORKLOAD),
-            ("gemini", WORKLOAD): runner.run_cell("gemini", task, WORKLOAD),
+            ("gpt4", WORKLOAD): engine.run_cell("gpt4", task, WORKLOAD),
+            ("gemini", WORKLOAD): engine.run_cell("gemini", task, WORKLOAD),
         }
     return cells
 
@@ -83,18 +83,18 @@ class TestRendering:
 
 class TestRecordProvenance:
     def test_record_from_engine_stamps_the_catalog_fingerprint(
-        self, runner, grids
+        self, engine, grids
     ):
-        record = record_from_engine(runner.engine, artifacts=[])
+        record = record_from_engine(engine, artifacts=[])
         assert record.rewrite_catalog == catalog_fingerprint()
         restored = RunRecord.from_dict(record.to_dict())
         assert restored.rewrite_catalog == record.rewrite_catalog
 
     def test_records_without_rewrite_cells_stay_unstamped(self):
-        other = ExperimentRunner(max_instances=10)
+        other = ExperimentEngine(EngineConfig(max_instances=10))
         try:
             other.run_cell("gpt4", "syntax_error", "synthetic:default:n=2")
-            record = record_from_engine(other.engine, artifacts=[])
+            record = record_from_engine(other, artifacts=[])
         finally:
             other.close()
         assert record.rewrite_catalog == ""

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.evalfw.runner import ExperimentRunner
+from repro.engine import EngineConfig, ExperimentEngine
 from repro.reporting.run_record import (
     RECORD_VERSION,
     CellRecord,
@@ -12,6 +12,7 @@ from repro.reporting.run_record import (
     RunRecordStore,
     cell_record_from_result,
     new_run_id,
+    record_from_engine,
 )
 from tests.reporting.fixtures import make_cell_result, make_record
 
@@ -192,13 +193,13 @@ class TestAnalysisCacheStats:
         from repro.sql import analysis_cache
 
         analysis_cache.clear_caches()
-        runner = ExperimentRunner(max_instances=4, cache_dir=tmp_path / "c")
+        engine = ExperimentEngine(EngineConfig(max_instances=4, cache_dir=tmp_path / "c"))
         texts = [f"SELECT c{i} FROM t{i}" for i in range(3)]
         for text in texts + texts:  # 3 misses, then 3 hits
             analysis_cache.try_parse_cached(text)
-        runner.run_cell("gpt4", "syntax_error", "sdss")
-        record = runner.run_record()
-        runner.close()
+        engine.run_cell("gpt4", "syntax_error", "sdss")
+        record = record_from_engine(engine)
+        engine.close()
         stats = record.analysis_cache_stats
         assert set(stats) == set(
             analysis_cache.CacheCounters().as_dict()
@@ -222,11 +223,11 @@ class TestAnalysisCacheStats:
         start = analysis_cache.counters()
         records = []
         for seed in (1, 2):
-            runner = ExperimentRunner(seed=seed, max_instances=4)
-            runner.run_cell("gpt4", "miss_token", "sdss")
-            runner.run_cell("gpt4", "query_exp", "spider")
-            records.append(runner.run_record().analysis_cache_stats)
-            runner.close()
+            engine = ExperimentEngine(EngineConfig(seed=seed, max_instances=4))
+            engine.run_cell("gpt4", "miss_token", "sdss")
+            engine.run_cell("gpt4", "query_exp", "spider")
+            records.append(record_from_engine(engine).analysis_cache_stats)
+            engine.close()
         total = analysis_cache.counters().since(start).as_dict()
         first, second = records
         assert first["raw_parses"] > 0 and first["raw_tokenizes"] > 0
@@ -238,10 +239,10 @@ class TestAnalysisCacheStats:
 class TestRecordFromEngine:
     def test_runner_snapshot_and_cached_provenance(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        runner = ExperimentRunner(max_instances=6, cache_dir=cache_dir)
-        runner.run_cell("gpt4", "performance_pred", "sdss")
-        record = runner.run_record(artifacts=("table6",), total_seconds=1.0)
-        runner.close()
+        engine = ExperimentEngine(EngineConfig(max_instances=6, cache_dir=cache_dir))
+        engine.run_cell("gpt4", "performance_pred", "sdss")
+        record = record_from_engine(engine, artifacts=("table6",), total_seconds=1.0)
+        engine.close()
         assert record.run_id
         assert record.artifacts == ("table6",)
         assert len(record.cells) == 1
@@ -252,11 +253,11 @@ class TestRecordFromEngine:
         assert "binary.f1" in cell.metrics
         assert record.computed_cells == 1 and record.cached_cells == 0
 
-        # A second runner over the same cache serves the cell warm, and
+        # A second engine over the same cache serves the cell warm, and
         # the record's provenance says so.
-        warm = ExperimentRunner(max_instances=6, cache_dir=cache_dir)
+        warm = ExperimentEngine(EngineConfig(max_instances=6, cache_dir=cache_dir))
         warm.run_cell("gpt4", "performance_pred", "sdss")
-        warm_record = warm.run_record()
+        warm_record = record_from_engine(warm)
         warm.close()
         assert warm_record.cells[0].cached
         assert warm_record.computed_cells == 0
@@ -268,11 +269,11 @@ class TestRecordFromEngine:
         # Two artifacts sharing a grid re-serve its cells from the
         # cache within one run; the record must still report the cell
         # as computed-once, not as cached.
-        runner = ExperimentRunner(max_instances=4, cache_dir=tmp_path / "c")
-        runner.run_cell("gpt4", "performance_pred", "sdss")
-        runner.run_cell("gpt4", "performance_pred", "sdss")  # repeat serve
-        record = runner.run_record()
-        runner.close()
+        engine = ExperimentEngine(EngineConfig(max_instances=4, cache_dir=tmp_path / "c"))
+        engine.run_cell("gpt4", "performance_pred", "sdss")
+        engine.run_cell("gpt4", "performance_pred", "sdss")  # repeat serve
+        record = record_from_engine(engine)
+        engine.close()
         assert len(record.cells) == 1
         assert record.computed_cells == 1
         assert record.cached_cells == 0
@@ -288,29 +289,29 @@ class TestRecordFromEngine:
 
         tuned = TUNED_PROMPTS["performance_pred"]
         variant = dc.replace(tuned, name="variant", quality=0.5)
-        warmer = ExperimentRunner(max_instances=4, cache_dir=tmp_path / "c")
+        warmer = ExperimentEngine(EngineConfig(max_instances=4, cache_dir=tmp_path / "c"))
         warmer.run_cell("gpt4", "performance_pred", "sdss")
         warmer.close()
-        # Fresh runner: default prompt serves warm from disk, then the
+        # Fresh engine: default prompt serves warm from disk, then the
         # variant prompt misses the cache and is computed — the record
         # must reflect the variant serve (results holds it), not the
         # earlier cached sighting of the same cell.
-        runner = ExperimentRunner(max_instances=4, cache_dir=tmp_path / "c")
-        runner.run_cell("gpt4", "performance_pred", "sdss")
-        runner.engine.run_cell(
+        engine = ExperimentEngine(EngineConfig(max_instances=4, cache_dir=tmp_path / "c"))
+        engine.run_cell("gpt4", "performance_pred", "sdss")
+        engine.run_cell(
             "gpt4", "performance_pred", "sdss", prompt=variant
         )
-        record = runner.run_record()
-        runner.close()
+        record = record_from_engine(engine)
+        engine.close()
         assert len(record.cells) == 1
         assert not record.cells[0].cached  # the variant serve was computed
         assert record.computed_cells == 1 and record.cached_cells == 0
 
     def test_paper_model_order_in_cells(self):
-        runner = ExperimentRunner(max_instances=3)
-        runner.run_task("performance_pred")
-        record = runner.run_record()
-        runner.close()
+        engine = ExperimentEngine(EngineConfig(max_instances=3))
+        engine.run_task("performance_pred")
+        record = record_from_engine(engine)
+        engine.close()
         assert [cell.model for cell in record.cells] == [
             "gpt4", "gpt35", "llama3", "mistral", "gemini",
         ]

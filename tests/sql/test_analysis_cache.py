@@ -117,11 +117,11 @@ class TestOneParsePerDistinctText:
         """query_exp generates no new texts: 5 models x N instances over
         the same queries must cost exactly one raw parse per distinct
         text, no matter how many consumers touch it."""
-        from repro.evalfw.runner import ExperimentRunner
+        from repro.engine import EngineConfig, ExperimentEngine
 
         analysis_cache.clear_caches()
-        runner = ExperimentRunner(seed=0, max_instances=15)
-        grid = runner.run_task("query_exp")
+        engine = ExperimentEngine(EngineConfig(seed=0, max_instances=15))
+        grid = engine.run_task("query_exp")
         distinct = {
             instance.payload["query"]
             for cell in grid.values()
@@ -133,5 +133,5 @@ class TestOneParsePerDistinctText:
         assert counters.raw_parses == len(distinct)
 
         # A second full pass over the grid must not parse anything new.
-        runner.run_task("query_exp")
+        engine.run_task("query_exp")
         assert analysis_cache.counters().raw_parses == len(distinct)

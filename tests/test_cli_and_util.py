@@ -118,16 +118,35 @@ class TestCli:
                 runs_dir=tmp_path,
             )
 
-    def test_zero_workers_payload_is_rejected_like_the_flag(self, tmp_path):
+    @pytest.mark.parametrize(
+        "knob, value, message",
+        [
+            ("workers", 0, "--workers must be >= 1, got 0"),
+            ("max_concurrency", 0, "--max-concurrency must be >= 1, got 0"),
+            ("rps", 0, "--rps must be > 0, got 0.0"),
+            ("max_instances", 0, "--max-instances must be >= 1, got 0"),
+            ("chunk_size", -1, "--chunk-size must be >= 0, got -1"),
+            ("request_timeout", 0, "--request-timeout must be > 0, got 0.0"),
+            ("cell_deadline", -1, "--cell-deadline must be > 0, got -1.0"),
+            ("breaker_threshold", -1, "--breaker-threshold must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_knob_payload_is_rejected_like_the_flag(
+        self, tmp_path, capsys, knob, value, message
+    ):
         from repro.execution import RunRequestError, prepare_run, request_from_payload
 
         request = request_from_payload(
-            {"artifacts": ["table1"], "workers": 0},
+            {"artifacts": ["table1"], knob: value},
             cache_dir=tmp_path,
             runs_dir=tmp_path,
         )
-        with pytest.raises(RunRequestError, match="--workers must be >= 1, got 0"):
+        with pytest.raises(RunRequestError) as excinfo:
             prepare_run(request)
+        assert str(excinfo.value) == message
+        flag = "--" + knob.replace("_", "-")
+        assert main(["run", "table1", flag, str(value)]) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
 
     @pytest.mark.parametrize(
         "payload, message",

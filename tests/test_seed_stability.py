@@ -7,28 +7,28 @@ the default seed 0.
 
 import pytest
 
-from repro.evalfw import ExperimentRunner
+from repro.engine import EngineConfig, ExperimentEngine
 from repro.llm.profiles import MODEL_PROFILES
 
 SEEDS = (1, 2, 3)
 
 
 @pytest.fixture(scope="module", params=SEEDS)
-def seeded_runner(request):
-    return ExperimentRunner(seed=request.param, max_instances=120)
+def seeded_engine(request):
+    return ExperimentEngine(EngineConfig(seed=request.param, max_instances=120))
 
 
 class TestSeedStability:
-    def test_gpt4_wins_syntax_error(self, seeded_runner):
-        grid = seeded_runner.run_task("syntax_error", workloads=("sdss",))
+    def test_gpt4_wins_syntax_error(self, seeded_engine):
+        grid = seeded_engine.run_task("syntax_error", workloads=("sdss",))
         f1 = {
             model.name: grid[(model.name, "sdss")].binary.f1
             for model in MODEL_PROFILES
         }
         assert f1["gpt4"] == max(f1.values()), f1
 
-    def test_detection_stays_conservative(self, seeded_runner):
-        grid = seeded_runner.run_task("miss_token", workloads=("sdss",))
+    def test_detection_stays_conservative(self, seeded_engine):
+        grid = seeded_engine.run_task("miss_token", workloads=("sdss",))
         conservative = sum(
             1
             for cell in grid.values()
@@ -36,13 +36,13 @@ class TestSeedStability:
         )
         assert conservative >= 4
 
-    def test_performance_pred_stays_optimistic(self, seeded_runner):
-        grid = seeded_runner.run_task("performance_pred")
+    def test_performance_pred_stays_optimistic(self, seeded_engine):
+        grid = seeded_engine.run_task("performance_pred")
         mistral = grid[("mistral", "sdss")].binary
         assert mistral.recall > mistral.precision
 
-    def test_workload_statistics_stable(self, seeded_runner):
-        workload = seeded_runner.workload("sdss")
+    def test_workload_statistics_stable(self, seeded_engine):
+        workload = seeded_engine.workload("sdss")
         aggregates = sum(q.properties.aggregate for q in workload)
         assert aggregates == 21  # quota-controlled, seed-independent
         assert len(workload) == 285
