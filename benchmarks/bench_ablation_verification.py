@@ -7,15 +7,21 @@ off and measures how many unverified labels the checker would dispute —
 the label noise the verification step removes.
 """
 
-from repro.equivalence import EquivalenceChecker, generate_equivalence_pairs
-from repro.equivalence.pairs import SOUND_BY_CONSTRUCTION
+from repro.equivalence import (
+    EquivalenceChecker,
+    QueryEquivPairs,
+    iter_verified_pairs,
+    label_stands,
+)
 from repro.evalfw.report import render_table
 
 
 def run_ablation(engine):
     workload = engine.workload("sdss")
-    unverified = generate_equivalence_pairs(
-        workload, seed=0, max_pairs=80, verify=False
+    unverified = list(
+        iter_verified_pairs(
+            workload, QueryEquivPairs(), seed=0, max_pairs=80, verify=False
+        )
     )
     checker = EquivalenceChecker(workload.schemas["sdss"], rows_per_table=60)
     disputed = 0
@@ -28,9 +34,7 @@ def run_ablation(engine):
                 undecidable += 1
                 continue
             checked += 1
-            if verdict is not pair.equivalent and (
-                pair.equivalent or pair.pair_type not in SOUND_BY_CONSTRUCTION
-            ):
+            if not label_stands(verdict, pair.equivalent, pair.pair_type):
                 disputed += 1
     finally:
         checker.close()

@@ -10,7 +10,7 @@ Run:  python examples/equivalence_audit.py
 
 from collections import Counter
 
-from repro.equivalence import EquivalenceChecker, generate_equivalence_pairs
+from repro.equivalence import EquivalenceChecker, QueryEquivPairs, iter_verified_pairs
 from repro.llm import SimulatedLLM
 from repro.parsing import extract_equivalence
 from repro.sql import extract_properties
@@ -19,7 +19,7 @@ from repro.workloads import load_workload
 
 def main() -> None:
     workload = load_workload("sqlshare", seed=0)
-    pairs = generate_equivalence_pairs(workload, seed=0, max_pairs=60)
+    pairs = list(iter_verified_pairs(workload, QueryEquivPairs(), seed=0, max_pairs=60))
     balance = Counter("equivalent" if p.equivalent else "non-equivalent" for p in pairs)
     print(f"built {len(pairs)} verified pairs: {dict(balance)}")
 

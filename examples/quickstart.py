@@ -39,7 +39,7 @@ def main() -> None:
     analyzer = SemanticAnalyzer(SDSS_SCHEMA)
     assert analyzer.is_clean(statement)
     corruption = inject_syntax_error(statement, SDSS_SCHEMA, random.Random(7))
-    print(f"\ninjected error: {corruption.error_type} ({corruption.detail})")
+    print(f"\ninjected error: {corruption.name} ({corruption.detail})")
     print("corrupted:", corruption.text)
     detected = {v.code for v in analyzer.analyze_sql(corruption.text)}
     print("analyzer ground truth:", sorted(detected))
@@ -54,7 +54,7 @@ def main() -> None:
         "sdss",
         props,
         truth_has_error=True,
-        truth_error_type=corruption.error_type,
+        truth_error_type=corruption.name,
     )
     print(f"\n{model.display_name} says: {response.text}")
 
@@ -62,7 +62,7 @@ def main() -> None:
     says_error = extract_yes_no(response.text)
     claimed = extract_label(response.text, list(detected) + ["aggr-attr"])
     print(f"\nextracted: has_error={says_error} type={claimed}")
-    verdict = "correct" if says_error and claimed == corruption.error_type else "wrong"
+    verdict = "correct" if says_error and claimed == corruption.name else "wrong"
     print("model was", verdict)
 
 

@@ -15,7 +15,7 @@ import hashlib
 import json
 from dataclasses import asdict
 
-from repro.tasks.base import PRIMARY_TASKS
+from repro.tasks.base import PRIMARY_TASKS, REWRITE_TASKS
 from repro.tasks.registry import TASK_WORKLOADS, build_dataset, tasks_for_workload
 from repro.workloads import load_workload
 
@@ -23,7 +23,12 @@ SYNTHETIC_SPECS = (
     "synthetic:default:n=60",
     "synthetic:joins:n=40",
     "synthetic:predicates:n=40",
+    "synthetic:rewrite:n=8",
 )
+
+#: A family filter reaches only the rewrite tasks' pairs, so this spec
+#: pins those two cells alone.
+FAMILY_RESTRICTED_SPEC = "synthetic:rewrite:n=8:families=or-in+setop-exists"
 
 
 def instance_blob(instance) -> dict:
@@ -52,6 +57,8 @@ def all_cells() -> list[tuple[str, str]]:
     for spec in SYNTHETIC_SPECS:
         for task in tasks_for_workload(spec):
             cells.append((task, spec))
+    for task in REWRITE_TASKS:
+        cells.append((task, FAMILY_RESTRICTED_SPEC))
     return cells
 
 

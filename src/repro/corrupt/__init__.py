@@ -9,14 +9,14 @@ Three families:
 * :mod:`repro.corrupt.structural` — AST-level structural breakage
   (clause-order swaps, dangling aliases, unbalanced subquery parens)
   unlocked by the synthetic workload family's direct AST generation.
+
+Both AST injectors return the :class:`~repro.sql.transform.AppliedTransform`
+of the shared transform layer, whose ``name`` is the error type; a
+token removal returns a :class:`TokenRemoval`, which also records the
+removed word and its position.
 """
 
-from repro.corrupt.structural import (
-    STRUCTURAL_TYPES,
-    StructuralCorruption,
-    applicable_structural_types,
-    inject_structural_error,
-)
+from repro.corrupt.structural import STRUCTURAL_TYPES, inject_structural_error
 from repro.corrupt.missing_tokens import (
     ALIAS,
     COLUMN,
@@ -26,20 +26,12 @@ from repro.corrupt.missing_tokens import (
     TOKEN_TYPES,
     VALUE,
     TokenRemoval,
-    applicable_token_types,
     remove_token,
 )
-from repro.corrupt.syntax_errors import (
-    ERROR_TYPES,
-    SyntaxCorruption,
-    applicable_error_types,
-    inject_syntax_error,
-)
+from repro.corrupt.syntax_errors import ERROR_TYPES, inject_syntax_error
 
 __all__ = [
     "ERROR_TYPES",
-    "SyntaxCorruption",
-    "applicable_error_types",
     "inject_syntax_error",
     "TOKEN_TYPES",
     "KEYWORD",
@@ -49,10 +41,7 @@ __all__ = [
     "ALIAS",
     "COMPARISON",
     "TokenRemoval",
-    "applicable_token_types",
     "remove_token",
     "STRUCTURAL_TYPES",
-    "StructuralCorruption",
-    "applicable_structural_types",
     "inject_structural_error",
 ]

@@ -136,15 +136,6 @@ def _removed_display(text: str, token: Token) -> str:
     return text[token.position : token.end]
 
 
-def applicable_token_types(text: str) -> list[str]:
-    """Token types that have at least one removable occurrence in *text*."""
-    try:
-        tokens = tokenize_cached(text)
-    except Exception:
-        return []
-    return [t for t in TOKEN_TYPES if _candidates(tokens, t)]
-
-
 def remove_token(
     text: str,
     rng: random.Random,

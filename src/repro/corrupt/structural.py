@@ -24,14 +24,13 @@ re-renders, and returns corrupted *text* plus labels, mirroring
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.schema.model import Schema
 from repro.sql import nodes as n
 from repro.sql.render import Renderer, render
 from repro.sql.transform import (
-    applicable_types,
+    AppliedTransform,
     apply_typed_transform,
     outer_core,
     sample_order,
@@ -43,16 +42,6 @@ PAREN_IMBALANCE = "paren-imbalance"
 
 #: The structural error types, in presentation order.
 STRUCTURAL_TYPES: tuple[str, ...] = (CLAUSE_ORDER, DANGLING_ALIAS, PAREN_IMBALANCE)
-
-
-@dataclass
-class StructuralCorruption:
-    """A structurally corrupted query and the label it carries."""
-
-    text: str
-    error_type: str
-    detail: str
-    original_text: str
 
 
 def _corrupt_clause_order(
@@ -182,42 +171,28 @@ _INJECTORS: dict[
 }
 
 
-def applicable_structural_types(
-    statement: n.Statement, rng: random.Random
-) -> list[str]:
-    """Structural types whose injector succeeds on (a copy of) this statement."""
-    return applicable_types(statement, None, rng, _INJECTORS, STRUCTURAL_TYPES)
-
-
 def inject_structural_error(
     statement: n.Statement,
     rng: random.Random,
     error_type: Optional[str] = None,
-) -> Optional[StructuralCorruption]:
+) -> Optional[AppliedTransform]:
     """Inject one structural error into a copy of *statement*.
 
-    When *error_type* is None a random applicable type is used; returns
-    None when no injector applies (e.g. a flat query has no subquery to
-    unbalance and no alias to dangle).
+    When *error_type* is None a random applicable type is used.  The
+    result's ``name`` is the error type.  Returns None when no injector
+    applies (e.g. a flat query has no subquery to unbalance and no alias
+    to dangle).
     """
     order = (
         [error_type]
         if error_type is not None
         else sample_order(rng, STRUCTURAL_TYPES)
     )
-    applied = apply_typed_transform(
+    return apply_typed_transform(
         statement,
         None,
         rng,
         _INJECTORS,
         order,
         kind="structural error",
-    )
-    if applied is None:
-        return None
-    return StructuralCorruption(
-        text=applied.text,
-        error_type=applied.name,
-        detail=applied.detail,
-        original_text=applied.original_text,
     )

@@ -9,7 +9,6 @@ analyzer must report the intended violation code on the corrupted text.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.analysis.semantics import (
@@ -25,7 +24,7 @@ from repro.schema.model import ColType, Schema
 from repro.sql import nodes as n
 from repro.sql.keywords import AGGREGATE_FUNCTIONS
 from repro.sql.transform import (
-    applicable_types,
+    AppliedTransform,
     apply_typed_transform,
     named_tables,
     replace_expr,
@@ -34,16 +33,6 @@ from repro.sql.transform import (
 
 #: Error-type labels, re-exported in the paper's order.
 ERROR_TYPES: tuple[str, ...] = PAPER_ERROR_TYPES
-
-
-@dataclass
-class SyntaxCorruption:
-    """A corrupted query and the label it carries."""
-
-    text: str
-    error_type: str
-    detail: str
-    original_text: str
 
 
 def _source_label(table: n.NamedTable) -> str:
@@ -401,13 +390,6 @@ _INJECTORS: dict[str, Callable] = {
 }
 
 
-def applicable_error_types(
-    statement: n.Statement, schema: Schema, rng: random.Random
-) -> list[str]:
-    """Error types whose injector succeeds on (a copy of) this statement."""
-    return applicable_types(statement, schema, rng, _INJECTORS, ERROR_TYPES)
-
-
 def _weighted_order(
     rng: random.Random, weights: Optional[dict[str, float]]
 ) -> list[str]:
@@ -439,19 +421,19 @@ def inject_syntax_error(
     rng: random.Random,
     error_type: Optional[str] = None,
     type_weights: Optional[dict[str, float]] = None,
-) -> Optional[SyntaxCorruption]:
+) -> Optional[AppliedTransform]:
     """Inject one error into a copy of *statement*.
 
     When *error_type* is None, a (optionally weighted) random applicable
-    type is used.  Returns None when no injector applies (e.g. DECLARE
-    statements).
+    type is used.  The result's ``name`` is the error type.  Returns
+    None when no injector applies (e.g. DECLARE statements).
     """
     order = (
         [error_type]
         if error_type is not None
         else _weighted_order(rng, type_weights)
     )
-    applied = apply_typed_transform(
+    return apply_typed_transform(
         statement,
         schema,
         rng,
@@ -459,12 +441,4 @@ def inject_syntax_error(
         order,
         require_change=False,
         kind="error",
-    )
-    if applied is None:
-        return None
-    return SyntaxCorruption(
-        text=applied.text,
-        error_type=applied.name,
-        detail=applied.detail,
-        original_text=applied.original_text,
     )

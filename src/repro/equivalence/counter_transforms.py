@@ -9,7 +9,6 @@ on live instances that each rewrite observably changes results.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.schema.model import Schema
@@ -17,6 +16,7 @@ from repro.sql import nodes as n
 from repro.sql.keywords import AGGREGATE_FUNCTIONS
 from repro.sql.render import render
 from repro.sql.transform import (
+    AppliedTransform,
     and_leaves,
     apply_typed_transform,
     named_tables_with_labels,
@@ -44,22 +44,6 @@ NON_EQUIVALENCE_TYPES: tuple[str, ...] = (
     COLUMN_SWAP,
     DISTINCT_CHANGE,
 )
-
-
-@dataclass
-class NonEquivalentRewrite:
-    """A semantics-changing rewrite plus its label.
-
-    ``statement`` is the mutated AST ``text`` was rendered from — the
-    execution checker renders it directly rather than re-parsing
-    ``text``.
-    """
-
-    text: str
-    pair_type: str
-    detail: str
-    original_text: str
-    statement: Optional[n.SelectStatement] = None
 
 
 _AGG_SWAPS = {"AVG": "SUM", "SUM": "AVG", "MIN": "MAX", "MAX": "MIN"}
@@ -268,10 +252,10 @@ def apply_non_equivalence_transform(
     rng: random.Random,
     pair_type: Optional[str] = None,
     original_text: Optional[str] = None,
-) -> Optional[NonEquivalentRewrite]:
+) -> Optional[AppliedTransform]:
     """Apply one semantics-changing transform to a copy of *statement*.
 
-    Callers retrying many types for one statement can pass the
+    The result's ``name`` is the pair type.  Callers retrying many types for one statement can pass the
     pre-rendered *original_text* to skip the per-attempt re-render.
     """
     order = (
@@ -279,7 +263,7 @@ def apply_non_equivalence_transform(
         if pair_type is not None
         else sample_order(rng, NON_EQUIVALENCE_TYPES)
     )
-    applied = apply_typed_transform(
+    return apply_typed_transform(
         statement,
         schema,
         rng,
@@ -287,13 +271,4 @@ def apply_non_equivalence_transform(
         order,
         original_text=original_text,
         kind="non-equivalence",
-    )
-    if applied is None:
-        return None
-    return NonEquivalentRewrite(
-        text=applied.text,
-        pair_type=applied.name,
-        detail=applied.detail,
-        original_text=applied.original_text,
-        statement=applied.statement,
     )

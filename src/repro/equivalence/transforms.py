@@ -11,12 +11,12 @@ SQLite instances before labeling it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.schema.model import Schema
 from repro.sql import nodes as n
 from repro.sql.transform import (
+    AppliedTransform,
     and_leaves,
     apply_typed_transform,
     outer_core,
@@ -51,22 +51,6 @@ EQUIVALENCE_TYPES: tuple[str, ...] = (
     ALIAS_RENAME,
     COMPARISON_FLIP,
 )
-
-
-@dataclass
-class EquivalentRewrite:
-    """A rewritten query plus its transform label.
-
-    ``statement`` is the mutated AST ``text`` was rendered from — the
-    execution checker renders it directly rather than re-parsing
-    ``text``.
-    """
-
-    text: str
-    pair_type: str
-    detail: str
-    original_text: str
-    statement: Optional[n.SelectStatement] = None
 
 
 # ---------------------------------------------------------------------------
@@ -491,20 +475,20 @@ def apply_equivalence_transform(
     rng: random.Random,
     pair_type: Optional[str] = None,
     original_text: Optional[str] = None,
-) -> Optional[EquivalentRewrite]:
+) -> Optional[AppliedTransform]:
     """Apply one equivalence transform to a copy of *statement*.
 
     With *pair_type* None, applicable transforms are tried in random order.
-    Returns None when nothing applies.  Callers retrying many types for
-    one statement can pass the pre-rendered *original_text* to skip the
-    per-attempt re-render.
+    The result's ``name`` is the pair type.  Returns None when nothing
+    applies.  Callers retrying many types for one statement can pass the
+    pre-rendered *original_text* to skip the per-attempt re-render.
     """
     order = (
         [pair_type]
         if pair_type is not None
         else sample_order(rng, EQUIVALENCE_TYPES)
     )
-    applied = apply_typed_transform(
+    return apply_typed_transform(
         statement,
         schema,
         rng,
@@ -512,13 +496,4 @@ def apply_equivalence_transform(
         order,
         original_text=original_text,
         kind="equivalence",
-    )
-    if applied is None:
-        return None
-    return EquivalentRewrite(
-        text=applied.text,
-        pair_type=applied.name,
-        detail=applied.detail,
-        original_text=applied.original_text,
-        statement=applied.statement,
     )

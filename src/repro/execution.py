@@ -176,11 +176,6 @@ def request_from_payload(
             f"record_fixtures must be true or false, got {record_fixtures!r}"
         )
 
-    on_cell_error = payload.get("on_cell_error", "fail")
-    if on_cell_error not in ("fail", "skip", "degrade"):
-        raise RunRequestError(
-            f"on_cell_error must be fail, skip or degrade, got {on_cell_error!r}"
-        )
     fixtures_dir = _str("fixtures_dir")
     return RunRequest(
         artifacts=tuple(artifacts),
@@ -199,7 +194,7 @@ def request_from_payload(
         record_fixtures=record_fixtures,
         max_concurrency=_int("max_concurrency"),
         rps=_float("rps"),
-        on_cell_error=on_cell_error,
+        on_cell_error=_str("on_cell_error") or "fail",
         request_timeout=_float("request_timeout"),
         cell_deadline=_float("cell_deadline"),
         breaker_threshold=_int("breaker_threshold"),

@@ -1,12 +1,14 @@
-"""Labeled rewrite-pair generation for the rewrite tasks.
+"""Rewrite-pair recipe for the rewrite tasks.
 
-Positives are **multi-step rewrite chains** from the catalog
-(:mod:`repro.rewrite.catalog`) — hard positives, since each chain
-composes several structural changes while preserving semantics.
+:class:`RewritePairs` tells the shared verified-pair generator
+(:func:`repro.equivalence.pairs.iter_verified_pairs`) how to build the
+rewrite tasks' pairs.  Positives are **multi-step rewrite chains** from
+the catalog (:mod:`repro.rewrite.catalog`) — hard positives, since each
+chain composes several structural changes while preserving semantics.
 Negatives reuse the counter-transform pool, so the two classes stay
-superficially similar.  Both polarities are execution-verified on
-generated SQLite instances before being labeled, exactly like the
-query_equiv pair generator.
+superficially similar.  The generator verifies both polarities on
+generated SQLite instances before labeling them, exactly as it does
+the query_equiv pairs.
 
 Because the synthetic grammar never emits some rewritable constructs
 (``= NULL``, OR chains of equalities, literal arithmetic, ``SELECT *``),
@@ -18,16 +20,10 @@ the pair's ``first_text`` — so every catalog family gets exercised.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.equivalence.checker import EquivalenceChecker
 from repro.equivalence.counter_transforms import apply_non_equivalence_transform
-from repro.equivalence.pairs import (
-    CHECKER_SETTINGS,
-    SOUND_BY_CONSTRUCTION,
-    eligible_for_pairing,
-)
+from repro.equivalence.pairs import PairRecipe
 from repro.rewrite.catalog import (
     CONST_FOLD,
     DISTINCT_ELIM,
@@ -40,34 +36,18 @@ from repro.rewrite.catalog import (
 )
 from repro.schema.model import ColType, Schema, Table
 from repro.sql import nodes as n
-from repro.sql.render import render
+from repro.sql.properties import extract_properties
 from repro.sql.transform import (
+    AppliedTransform,
     clone,
     named_tables,
     sample_order,
     select_cores,
     walk,
 )
-from repro.util import derive_rng
-from repro.workloads.base import Workload
 
-
-@dataclass
-class RewritePair:
-    """A labeled (original, rewritten) query pair with chain provenance."""
-
-    pair_id: str
-    workload: str
-    schema_name: str
-    source_query_id: str
-    first_text: str
-    second_text: str
-    equivalent: bool
-    pair_type: str  # "+"-joined families for chains, counter type otherwise
-    transforms: tuple[str, ...] = ()
-    families: tuple[str, ...] = ()
-    seeded: tuple[str, ...] = ()
-    detail: str = ""
+#: Most catalog steps one positive chains.
+CHAIN_STEPS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -384,192 +364,59 @@ def seed_rewrite_sites(
 
 
 # ---------------------------------------------------------------------------
-# Pair generation
+# Pair recipe
 # ---------------------------------------------------------------------------
 
 
-def iter_rewrite_pairs(
-    source,
-    seed: int = 0,
-    max_pairs: Optional[int] = None,
-    verify: bool = True,
-    families: Optional[Sequence[str]] = None,
-    max_chain_steps: int = 3,
-    rows_per_table: int = 80,
-    dangling_fraction: float = 0.08,
-):
-    """Yield verified rewrite pairs lazily from eligible SELECT queries.
+class RewritePairs(PairRecipe):
+    """Rewrite-task pairs over a seeded copy of each query.
 
-    Mirrors :func:`repro.equivalence.pairs.iter_equivalence_pairs`:
-    sequential by construction (one rng and the alternating polarity
-    carry across accepted pairs), so the materialised and streaming
-    paths share this generator and stay byte-identical.
+    *families* restricts both the seeding and the chains to those
+    catalog families (all when None).
     """
-    transforms_for(families)  # validate family names up front
-    rng = derive_rng("rewrite-pairs", source.name, seed)
-    overrides = CHECKER_SETTINGS.get(source.name, {})
-    rows_per_table = int(overrides.get("rows_per_table", rows_per_table))
-    dangling_fraction = float(
-        overrides.get("dangling_fraction", dangling_fraction)
-    )
-    checkers: dict[str, EquivalenceChecker] = {}
-    try:
-        produced = 0
-        want_equivalent = True
-        for query in source:
-            if max_pairs is not None and produced >= max_pairs:
-                break
-            if query.properties.query_type not in ("SELECT", "WITH"):
-                continue
-            if not eligible_for_pairing(query):
-                continue
-            schema = source.schema_for(query)
-            if verify and query.schema_name not in checkers:
-                checkers[query.schema_name] = EquivalenceChecker(
+
+    stream = "rewrite-pairs"
+    id_suffix = "rwpair"
+
+    def __init__(self, families: Optional[Sequence[str]] = None) -> None:
+        transforms_for(families)  # validate family names up front
+        self.families = families
+
+    def first(self, query, schema, rng):
+        """A copy of the query with up to two rewrite sites planted."""
+        base = clone(query.statement)
+        seed_rewrite_sites(base, schema, rng, families=self.families)
+        return base
+
+    def first_props(self, query, first_text):
+        """Measured from the text: seeding may have changed the query."""
+        return extract_properties(first_text)
+
+    def candidates(self, first, first_text, schema, rng, equivalent):
+        for _ in range(3):
+            if equivalent:
+                steps = 1 + rng.randrange(CHAIN_STEPS)
+                chain = apply_rewrite_chain(
+                    first,
                     schema,
-                    rows_per_table=rows_per_table,
-                    dangling_fraction=dangling_fraction,
-                )
-            checker = checkers.get(query.schema_name) if verify else None
-            base = clone(query.statement)
-            seeded = seed_rewrite_sites(base, schema, rng, families=families)
-            base_text = render(base)
-            pair = _build_rewrite_pair(
-                query.query_id,
-                source.name,
-                query.schema_name,
-                base,
-                base_text,
-                seeded,
-                schema,
-                checker,
-                rng,
-                want_equivalent,
-                families,
-                max_chain_steps,
-            )
-            if pair is None:  # try the other polarity before giving up
-                pair = _build_rewrite_pair(
-                    query.query_id,
-                    source.name,
-                    query.schema_name,
-                    base,
-                    base_text,
-                    seeded,
-                    schema,
-                    checker,
                     rng,
-                    not want_equivalent,
-                    families,
-                    max_chain_steps,
+                    max_steps=steps,
+                    families=self.families,
+                    original_text=first_text,
                 )
-            if pair is None:
-                continue
-            yield pair
-            produced += 1
-            want_equivalent = not want_equivalent
-    finally:
-        for checker in checkers.values():
-            checker.close()
-
-
-def generate_rewrite_pairs(
-    workload: Workload,
-    seed: int = 0,
-    max_pairs: Optional[int] = None,
-    verify: bool = True,
-    families: Optional[Sequence[str]] = None,
-    max_chain_steps: int = 3,
-) -> list[RewritePair]:
-    """Materialise :func:`iter_rewrite_pairs` for a workload."""
-    return list(
-        iter_rewrite_pairs(
-            workload,
-            seed=seed,
-            max_pairs=max_pairs,
-            verify=verify,
-            families=families,
-            max_chain_steps=max_chain_steps,
-        )
-    )
-
-
-def _build_rewrite_pair(
-    query_id: str,
-    workload_name: str,
-    schema_name: str,
-    base: n.Statement,
-    base_text: str,
-    seeded: tuple[str, ...],
-    schema: Schema,
-    checker: Optional[EquivalenceChecker],
-    rng: random.Random,
-    equivalent: bool,
-    families: Optional[Sequence[str]],
-    max_chain_steps: int,
-) -> Optional[RewritePair]:
-    for _ in range(3):
-        if equivalent:
-            steps = 1 + rng.randrange(max(1, max_chain_steps))
-            chain = apply_rewrite_chain(
-                base,
-                schema,
-                rng,
-                max_steps=steps,
-                families=families,
-                original_text=base_text,
-            )
-            if chain is None:
-                return None  # no catalog transform applies at all
-            if checker is not None:
-                verdict = checker.verdict(
-                    base_text,
-                    chain.text,
-                    first_statement=base,
-                    second_statement=chain.statement,
+                if chain is None:
+                    return  # no catalog transform applies at all
+                yield AppliedTransform(
+                    text=chain.text,
+                    name=chain.chain_label,
+                    detail="; ".join(step.detail for step in chain.steps),
+                    original_text=first_text,
+                    statement=chain.statement,
                 )
-                if verdict is not True:
-                    continue
-            return RewritePair(
-                pair_id=f"{query_id}-rwpair",
-                workload=workload_name,
-                schema_name=schema_name,
-                source_query_id=query_id,
-                first_text=base_text,
-                second_text=chain.text,
-                equivalent=True,
-                pair_type=chain.chain_label,
-                transforms=tuple(step.name for step in chain.steps),
-                families=chain.families,
-                seeded=seeded,
-                detail="; ".join(step.detail for step in chain.steps),
-            )
-        rewrite = apply_non_equivalence_transform(
-            base, schema, rng, original_text=base_text
-        )
-        if rewrite is None:
-            return None
-        if checker is not None:
-            verdict = checker.verdict(
-                base_text,
-                rewrite.text,
-                first_statement=base,
-                second_statement=rewrite.statement,
-            )
-            if verdict is not False and rewrite.pair_type not in SOUND_BY_CONSTRUCTION:
-                continue
-        return RewritePair(
-            pair_id=f"{query_id}-rwpair",
-            workload=workload_name,
-            schema_name=schema_name,
-            source_query_id=query_id,
-            first_text=base_text,
-            second_text=rewrite.text,
-            equivalent=False,
-            pair_type=rewrite.pair_type,
-            transforms=(rewrite.pair_type,),
-            families=(),
-            seeded=seeded,
-            detail=rewrite.detail,
-        )
-    return None
+            else:
+                rewrite = apply_non_equivalence_transform(
+                    first, schema, rng, original_text=first_text
+                )
+                if rewrite is None:
+                    return
+                yield rewrite

@@ -4,20 +4,19 @@ Every mutation of a parsed statement in this codebase — corruption
 injectors, non-equivalence counter-transforms, equivalence rewrites,
 synthetic-generator normalisation, and the rewrite catalog — runs
 through the primitives here instead of carrying its own tree walker.
-The module owns four concerns:
+The module owns three concerns:
 
 * **copy-on-write application** — :func:`apply_typed_transform` clones
   the statement (clones never inherit the ``_shash`` structural-hash
   cache, so rebuilt trees can never serve a stale hash), runs one
   mutation function from a registry against the clone, renders, and
-  wraps the outcome;
+  returns an :class:`AppliedTransform`, the one result type of every
+  typed mutation (corruption injectors, equivalence and
+  counter-transforms, rewrite catalog steps);
 * **site selection** — mutation functions receive a seeded
   ``random.Random`` and use the shared helpers (:func:`and_leaves`,
   :func:`select_cores`, :func:`named_tables`, …) to enumerate candidate
   sites deterministically;
-* **applicability** — :func:`applicable_types` probes a registry
-  against a throwaway clone per type, the shared idiom behind
-  ``applicable_error_types``/``applicable_structural_types``;
 * **structural rebuilding** — :func:`replace_expr` (identity-based,
   list- and tuple-aware) and :func:`rewrite_leaves` (predicate-driven
   leaf replacement) are the only sanctioned ways to splice a subtree
@@ -41,7 +40,6 @@ __all__ = [
     "AppliedTransform",
     "MutationFn",
     "and_leaves",
-    "applicable_types",
     "apply_typed_transform",
     "clone",
     "collect",
@@ -69,8 +67,10 @@ MutationFn = Callable[..., MutationOutcome]
 
 @dataclass
 class AppliedTransform:
-    """One successful transform application, ready for wrapping.
+    """One successful transform application.
 
+    ``name`` is the registry key that applied: the error type, pair
+    type or catalog transform the result is labelled with.
     ``statement`` is the mutated AST ``text`` was rendered from, or
     ``None`` when the mutation produced pre-rendered text that no tree
     renders to.
@@ -320,24 +320,3 @@ def apply_typed_transform(
         )
     return None
 
-
-def applicable_types(
-    statement: n.Statement,
-    schema,
-    rng: random.Random,
-    registry: Mapping[str, MutationFn],
-    types: Sequence[str],
-) -> list[str]:
-    """Types whose mutation function succeeds on (a copy of) *statement*.
-
-    Each probe runs against a throwaway clone with an rng forked off the
-    caller's (``random.Random(rng.random())``), so probing consumes
-    exactly one draw per type regardless of how many draws the mutation
-    makes internally.
-    """
-    applicable = []
-    for type_name in types:
-        trial = clone(statement)
-        if registry[type_name](trial, schema, random.Random(rng.random())) is not None:
-            applicable.append(type_name)
-    return applicable

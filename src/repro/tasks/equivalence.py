@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.equivalence.counter_transforms import NON_EQUIVALENCE_TYPES
-from repro.equivalence.pairs import iter_equivalence_pairs
+from repro.equivalence.pairs import QueryEquivPairs, iter_verified_pairs
 from repro.equivalence.transforms import EQUIVALENCE_TYPES
 from repro.parsing import extract_equivalence, extract_label
 from repro.tasks.base import QUERY_EQUIV, ModelAnswer, TaskInstance
@@ -13,20 +13,15 @@ from repro.tasks.base import QUERY_EQUIV, ModelAnswer, TaskInstance
 ALL_PAIR_TYPES: tuple[str, ...] = EQUIVALENCE_TYPES + NON_EQUIVALENCE_TYPES
 
 
-def iter_query_equiv_instances(
-    source,
-    seed: int = 0,
-    max_pairs: Optional[int] = None,
-    verify: bool = True,
-):
+def iter_query_equiv_instances(source, seed: int = 0, max_pairs: Optional[int] = None):
     """Yield query_equiv instances lazily from the sequential pair stream.
 
     Pairs come from verified equivalence and non-equivalence
     transforms.  ``source`` is a :class:`~repro.workloads.base.Workload`
     or ``WorkloadStream``.
     """
-    for pair in iter_equivalence_pairs(
-        source, seed=seed, max_pairs=max_pairs, verify=verify
+    for pair in iter_verified_pairs(
+        source, QueryEquivPairs(), seed=seed, max_pairs=max_pairs
     ):
         yield TaskInstance(
             instance_id=pair.pair_id,

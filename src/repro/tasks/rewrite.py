@@ -1,7 +1,8 @@
 """rewrite_equivalence and rewrite_speedup tasks (rewrite extension).
 
-Both tasks consume the labeled pair stream of
-:func:`repro.rewrite.pairs.iter_rewrite_pairs`:
+Both tasks consume the labeled pair stream that the shared generator
+:func:`repro.equivalence.pairs.iter_verified_pairs` draws through
+:class:`repro.rewrite.pairs.RewritePairs`:
 
 * ``rewrite_equivalence`` shows the model an original query and a
   candidate rewrite and asks whether the rewrite preserves semantics.
@@ -20,9 +21,10 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
+from repro.equivalence.pairs import iter_verified_pairs
 from repro.parsing import extract_equivalence, extract_label, extract_yes_no
 from repro.perf.cost_model import base_cost_ms
-from repro.rewrite.pairs import iter_rewrite_pairs
+from repro.rewrite.pairs import RewritePairs
 from repro.sql.properties import extract_properties
 from repro.tasks.base import (
     REWRITE_EQUIVALENCE,
@@ -32,22 +34,19 @@ from repro.tasks.base import (
 )
 
 
-def _workload_families(source) -> Optional[tuple[str, ...]]:
-    """The family restriction baked into a workload spec (None = all)."""
+def _rewrite_pairs(source, seed: int, max_pairs: Optional[int] = None):
+    """The verified rewrite pairs of *source*, under its spec's families."""
     from repro.workloads.synthetic import rewrite_families_of
 
-    families = rewrite_families_of(source.name)
-    return families or None
+    recipe = RewritePairs(rewrite_families_of(source.name) or None)
+    return iter_verified_pairs(source, recipe, seed=seed, max_pairs=max_pairs)
 
 
 # -- rewrite_equivalence ----------------------------------------------------
 
 
 def iter_rewrite_equivalence_instances(
-    source,
-    seed: int = 0,
-    max_pairs: Optional[int] = None,
-    verify: bool = True,
+    source, seed: int = 0, max_pairs: Optional[int] = None
 ) -> Iterator[TaskInstance]:
     """Yield rewrite_equivalence instances lazily from the pair stream.
 
@@ -55,14 +54,7 @@ def iter_rewrite_equivalence_instances(
     counter-transform lookalikes (negatives).  ``source`` is a
     :class:`~repro.workloads.base.Workload` or ``WorkloadStream``.
     """
-    for pair in iter_rewrite_pairs(
-        source,
-        seed=seed,
-        max_pairs=max_pairs,
-        verify=verify,
-        families=_workload_families(source),
-    ):
-        props = extract_properties(pair.first_text)
+    for pair in _rewrite_pairs(source, seed, max_pairs):
         yield TaskInstance(
             instance_id=pair.pair_id,
             task=REWRITE_EQUIVALENCE,
@@ -72,7 +64,7 @@ def iter_rewrite_equivalence_instances(
             label=pair.equivalent,
             label_type=pair.pair_type,
             source_query_id=pair.source_query_id,
-            props=props,
+            props=pair.first_props,
             detail=pair.detail,
         )
 
@@ -107,10 +99,7 @@ def _extract_pair_type(instance: TaskInstance, text: str) -> Optional[str]:
 
 
 def iter_rewrite_speedup_instances(
-    source,
-    seed: int = 0,
-    max_instances: Optional[int] = None,
-    verify: bool = True,
+    source, seed: int = 0, max_instances: Optional[int] = None
 ) -> Iterator[TaskInstance]:
     """Yield rewrite_speedup instances from the *equivalent* pairs only.
 
@@ -119,20 +108,13 @@ def iter_rewrite_speedup_instances(
     positive equivalence label and so survives the filter).
     """
     produced = 0
-    for pair in iter_rewrite_pairs(
-        source,
-        seed=seed,
-        verify=verify,
-        families=_workload_families(source),
-    ):
+    for pair in _rewrite_pairs(source, seed):
         if max_instances is not None and produced >= max_instances:
             break
         if not pair.equivalent:
             continue
-        props_first = extract_properties(pair.first_text)
-        props_second = extract_properties(pair.second_text)
-        cost_first = base_cost_ms(props_first)
-        cost_second = base_cost_ms(props_second)
+        cost_first = base_cost_ms(pair.first_props)
+        cost_second = base_cost_ms(extract_properties(pair.second_text))
         yield TaskInstance(
             instance_id=f"{pair.pair_id}-speed",
             task=REWRITE_SPEEDUP,
@@ -145,7 +127,7 @@ def iter_rewrite_speedup_instances(
             # The family chain rides in ``detail`` for the per-family
             # report sections instead.
             source_query_id=pair.source_query_id,
-            props=props_first,
+            props=pair.first_props,
             detail=(
                 f"families={pair.pair_type} "
                 f"cost_original={cost_first:.2f}ms "

@@ -70,7 +70,7 @@ def iter_syntax_error_instances(source, seed: int = 0):
                 schema_name=query.schema_name,
                 payload={"query": corruption.text},
                 label=True,
-                label_type=corruption.error_type,
+                label_type=corruption.name,
                 source_query_id=query.query_id,
                 props=query.properties,
                 detail=corruption.detail,

@@ -51,7 +51,7 @@ def test_injected_errors_always_detected(index, seed):
     assert mutated is not None, corruption.text
     analyzer = _ANALYZERS[(workload_name, query.schema_name)]
     codes = {v.code for v in analyzer.analyze(mutated)}
-    assert corruption.error_type in codes, (corruption.text, codes)
+    assert corruption.name in codes, (corruption.text, codes)
 
 
 @given(query_indexes, seeds)

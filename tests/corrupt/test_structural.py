@@ -9,7 +9,6 @@ from repro.corrupt.structural import (
     DANGLING_ALIAS,
     PAREN_IMBALANCE,
     STRUCTURAL_TYPES,
-    applicable_structural_types,
     inject_structural_error,
 )
 from repro.sql.analysis_cache import try_parse_cached
@@ -41,7 +40,7 @@ class TestClauseOrder:
         statement = parse_statement(JOINED)
         corruption = inject_structural_error(statement, _rng(), CLAUSE_ORDER)
         assert corruption is not None
-        assert corruption.error_type == CLAUSE_ORDER
+        assert corruption.name == CLAUSE_ORDER
         assert corruption.text != corruption.original_text
         assert try_parse_cached(corruption.text) is None
         assert "swapped" in corruption.detail
@@ -81,9 +80,13 @@ class TestParenImbalance:
 
 
 class TestDispatch:
-    def test_applicable_types_match_individual_injectors(self):
+    def test_nested_query_admits_paren_and_clause_errors(self):
         statement = parse_statement(NESTED)
-        applicable = applicable_structural_types(statement, _rng())
+        applicable = {
+            error_type
+            for error_type in STRUCTURAL_TYPES
+            if inject_structural_error(statement, _rng(), error_type) is not None
+        }
         assert PAREN_IMBALANCE in applicable
         assert CLAUSE_ORDER in applicable  # WHERE + IN gives >= 3 clauses
 

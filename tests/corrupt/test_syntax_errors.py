@@ -9,7 +9,7 @@ import random
 import pytest
 
 from repro.analysis import SemanticAnalyzer, paper_violations
-from repro.corrupt import ERROR_TYPES, applicable_error_types, inject_syntax_error
+from repro.corrupt import ERROR_TYPES, inject_syntax_error
 from repro.schema import SDSS_SCHEMA
 from repro.sql.parser import parse_statement, try_parse
 from repro.workloads import load_workload
@@ -80,19 +80,23 @@ class TestInjectionDetectability:
         assert corruption.text != corruption.original_text
 
 
+def _applicable(query: str) -> set[str]:
+    """The error types whose injector applies to *query*."""
+    statement = parse_statement(query)
+    return {
+        error_type
+        for error_type in ERROR_TYPES
+        if inject_syntax_error(statement, SDSS_SCHEMA, random.Random(0), error_type)
+        is not None
+    }
+
+
 class TestApplicability:
     def test_joined_query_supports_all_types(self):
-        statement = parse_statement(BASE_QUERIES["joined"])
-        applicable = applicable_error_types(
-            statement, SDSS_SCHEMA, random.Random(0)
-        )
-        assert set(applicable) == set(ERROR_TYPES)
+        assert _applicable(BASE_QUERIES["joined"]) == set(ERROR_TYPES)
 
     def test_single_table_query_excludes_ambiguity(self):
-        statement = parse_statement(BASE_QUERIES["plain"])
-        applicable = applicable_error_types(
-            statement, SDSS_SCHEMA, random.Random(0)
-        )
+        applicable = _applicable(BASE_QUERIES["plain"])
         assert "alias-ambiguous" not in applicable
         assert "aggr-attr" in applicable
 
@@ -114,7 +118,7 @@ class TestOnWorkloads:
             injected += 1
             analyzer = SemanticAnalyzer(schema)
             violations = analyzer.analyze_sql(corruption.text)
-            if corruption.error_type in {v.code for v in violations}:
+            if corruption.name in {v.code for v in violations}:
                 detected += 1
         assert injected >= 40
         assert detected == injected

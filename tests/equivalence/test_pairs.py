@@ -1,24 +1,32 @@
 """Pair-generation tests (the query_equiv dataset of section 3.2)."""
 
+import sqlite3
+from itertools import islice
+
 import pytest
 
 from repro.equivalence import (
     EQUIVALENCE_TYPES,
     NON_EQUIVALENCE_TYPES,
     EquivalenceChecker,
-    generate_equivalence_pairs,
+    QueryEquivPairs,
+    iter_verified_pairs,
 )
+from repro.equivalence import pairs as pairs_module
 from repro.equivalence.pairs import eligible_for_pairing
 from repro.sql.properties import extract_properties
 from repro.sql.render import render
+from repro.tasks.streaming import iter_task_instances
 from repro.workloads import load_workload
 
 
 @pytest.fixture(scope="module")
 def sdss_pairs():
     workload = load_workload("sdss", seed=0)
-    return workload, generate_equivalence_pairs(
-        workload, seed=0, max_pairs=60, rows_per_table=50
+    return workload, list(
+        iter_verified_pairs(
+            workload, QueryEquivPairs(), seed=0, max_pairs=60, rows_per_table=50
+        )
     )
 
 
@@ -64,11 +72,13 @@ class TestPairGeneration:
 
     def test_deterministic(self):
         workload = load_workload("sqlshare", seed=0)
-        first = generate_equivalence_pairs(
-            workload, seed=1, max_pairs=12, rows_per_table=30
-        )
-        second = generate_equivalence_pairs(
-            workload, seed=1, max_pairs=12, rows_per_table=30
+        first, second = (
+            list(
+                iter_verified_pairs(
+                    workload, QueryEquivPairs(), seed=1, max_pairs=12, rows_per_table=30
+                )
+            )
+            for _ in range(2)
         )
         assert [(p.second_text, p.equivalent) for p in first] == [
             (p.second_text, p.equivalent) for p in second
@@ -87,6 +97,36 @@ class TestPairGeneration:
             source = by_id[pair.source_query_id]
             assert pair.first_props == source.properties
             assert pair.first_props is not source.properties
+
+
+class TestAbandonedStreamReleasesCheckers:
+    """The streamed path stops a pair stream early (at ``--max-instances``
+    or on an interrupt); closing it must close every checker it opened."""
+
+    @pytest.mark.parametrize(
+        "task, workload_name",
+        [("query_equiv", "sdss"), ("rewrite_equivalence", "synthetic:rewrite:n=4")],
+    )
+    def test_closing_the_stream_closes_its_checkers(
+        self, monkeypatch, task, workload_name
+    ):
+        opened = []
+
+        class RecordingChecker(EquivalenceChecker):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(pairs_module, "EquivalenceChecker", RecordingChecker)
+        stream = iter_task_instances(task, load_workload(workload_name, seed=0))
+        assert len(list(islice(stream, 3))) == 3
+        databases = [db for checker in opened for db in checker._databases or ()]
+        assert databases  # the verdicts so far opened instances
+        stream.close()
+        assert all(checker._databases is None for checker in opened)
+        for database in databases:
+            with pytest.raises(sqlite3.ProgrammingError):
+                database.connection.execute("SELECT 1")
 
 
 class TestSourcePropertiesMeasureTheFirstText:

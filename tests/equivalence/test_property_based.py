@@ -77,7 +77,7 @@ def test_equivalence_transforms_survive_execution(index, seed):
     )
     # None = execution failure (e.g. budget); anything decidable must agree.
     assert verdict is not False, (
-        rewrite.pair_type,
+        rewrite.name,
         rewrite.original_text,
         rewrite.text,
     )

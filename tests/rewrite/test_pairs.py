@@ -1,7 +1,8 @@
 """Rewrite-pair generation: labels, provenance, determinism, coverage."""
 
+from repro.equivalence import NON_EQUIVALENCE_TYPES, iter_verified_pairs
 from repro.rewrite.catalog import REWRITE_FAMILIES, catalog_fingerprint
-from repro.rewrite.pairs import generate_rewrite_pairs
+from repro.rewrite.pairs import CHAIN_STEPS, RewritePairs
 from repro.workloads import load_workload
 
 
@@ -9,24 +10,27 @@ def _workload():
     return load_workload("synthetic:rewrite:n=4", seed=0)
 
 
+def _pairs(workload, families=None, **kwargs):
+    return list(iter_verified_pairs(workload, RewritePairs(families), **kwargs))
+
+
 class TestPairGeneration:
     def test_both_polarities_with_chain_provenance(self):
-        pairs = generate_rewrite_pairs(_workload(), seed=0, max_pairs=24)
+        pairs = _pairs(_workload(), seed=0, max_pairs=24)
         positives = [p for p in pairs if p.equivalent]
         negatives = [p for p in pairs if not p.equivalent]
         assert positives and negatives
         for pair in positives:
-            assert pair.families
-            assert pair.pair_type == "+".join(pair.families)
-            assert len(pair.transforms) == len(pair.families)
+            families = pair.pair_type.split("+")
+            assert 1 <= len(families) <= CHAIN_STEPS
+            assert set(families) <= set(REWRITE_FAMILIES)
         for pair in negatives:
-            assert pair.families == ()
-            assert pair.pair_type  # the counter-transform type
+            assert pair.pair_type in NON_EQUIVALENCE_TYPES
         assert len({p.pair_id for p in pairs}) == len(pairs)
 
     def test_generation_is_deterministic(self):
-        first = generate_rewrite_pairs(_workload(), seed=0, max_pairs=12)
-        second = generate_rewrite_pairs(_workload(), seed=0, max_pairs=12)
+        first = _pairs(_workload(), seed=0, max_pairs=12)
+        second = _pairs(_workload(), seed=0, max_pairs=12)
         assert [
             (p.pair_id, p.first_text, p.second_text, p.equivalent, p.pair_type)
             for p in first
@@ -36,7 +40,7 @@ class TestPairGeneration:
         ]
 
     def test_texts_differ_within_each_pair(self):
-        for pair in generate_rewrite_pairs(_workload(), seed=0, max_pairs=12):
+        for pair in _pairs(_workload(), seed=0, max_pairs=12):
             assert pair.first_text != pair.second_text
 
 
@@ -49,13 +53,11 @@ class TestFamilyRestriction:
             # No max_pairs: families whose sites live in late strata
             # (e.g. subquery-cte in the nest strata) would otherwise be
             # crowded out by early counter-transform negatives.
-            pairs = generate_rewrite_pairs(
-                workload, seed=0, families=(family,)
-            )
+            pairs = _pairs(workload, (family,), seed=0)
             positives = [p for p in pairs if p.equivalent]
             assert positives, family
             for pair in positives:
-                assert set(pair.families) == {family}, (family, pair.families)
+                assert set(pair.pair_type.split("+")) == {family}, (family, pair.pair_type)
 
     def test_fingerprint_tracks_the_selection(self):
         full = catalog_fingerprint()

@@ -134,6 +134,10 @@ class TestLifecycle:
                     "backend_options.timeout",
                 ),
                 ({"backend": "chaos", "backend_options": {"rate": "5"}}, "chaos rate"),
+                (
+                    {"on_cell_error": "x"},
+                    "--on-cell-error must be one of ('fail', 'skip', 'degrade'), got 'x'",
+                ),
             ]
             for extra, message in unbuildable:
                 with pytest.raises(ServiceError) as excinfo:

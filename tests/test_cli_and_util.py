@@ -96,6 +96,7 @@ class TestCli:
             ("chaos", 1.5, "chaos must be a string, got 1.5"),
             ("fixtures_dir", 7, "fixtures_dir must be a string, got 7"),
             ("record_fixtures", "false", "record_fixtures must be true or false"),
+            ("on_cell_error", 5, "on_cell_error must be a string, got 5"),
             (
                 "backend_options",
                 {"timeout": [1]},
@@ -147,6 +148,20 @@ class TestCli:
         flag = "--" + knob.replace("_", "-")
         assert main(["run", "table1", flag, str(value)]) == 2
         assert capsys.readouterr().err.splitlines() == [message]
+
+    def test_bad_on_cell_error_payload_gets_the_engine_message(self, tmp_path):
+        from repro.execution import RunRequestError, prepare_run, request_from_payload
+
+        request = request_from_payload(
+            {"artifacts": ["table1"], "on_cell_error": "x"},
+            cache_dir=tmp_path,
+            runs_dir=tmp_path,
+        )
+        with pytest.raises(RunRequestError) as excinfo:
+            prepare_run(request)
+        assert str(excinfo.value) == (
+            "--on-cell-error must be one of ('fail', 'skip', 'degrade'), got 'x'"
+        )
 
     @pytest.mark.parametrize(
         "payload, message",

@@ -7,6 +7,11 @@ seeded synthetic — must hash to the same value after the three legacy
 AST-mutation sites (corruption injectors, counter-transforms, synthetic
 perturbations) were moved onto the shared transform primitives.  A
 mismatch here means the refactor changed observable evaluation data.
+
+The ``synthetic:rewrite:n=8`` cells (all seven tasks) and the two
+rewrite-task cells of the family-restricted spec were captured later,
+at the commit before the rewrite pair loop was folded into the shared
+verified-pair generator of ``repro.equivalence.pairs``.
 """
 
 from __future__ import annotations
@@ -42,6 +47,15 @@ EXPECTED_FINGERPRINTS = {
     ("query_equiv", "synthetic:predicates:n=40"): "38fddf5a27c75768614eba3374e08eecfdbd58d6062a37f63eff9dc472585c65",
     ("performance_pred", "synthetic:predicates:n=40"): "b4da31ddb2f2e9b7e5c49704699fefef9db7fb6b173831215212569f4401b1be",
     ("query_exp", "synthetic:predicates:n=40"): "9f914ff13721599c86000ff3f01daa37c65e22da0c4acedb92979c8ce0c00339",
+    ("syntax_error", "synthetic:rewrite:n=8"): "8171ba607dbd29f4bc1edf6fedcdae06d8eaad6c4de87c283aba0f738aa4f1b9",
+    ("miss_token", "synthetic:rewrite:n=8"): "ac8ccdd3390cff9b25ca73dd990c019ce983187110d6f6f8abe3068f2ab4acd1",
+    ("query_equiv", "synthetic:rewrite:n=8"): "39824ba9551acf39644aad729b5b5288bb09de04da0e684ce4f84d114d14ac23",
+    ("performance_pred", "synthetic:rewrite:n=8"): "36e460c1d1b39d83694506bf7f4c7981069053768484811c9a242373e516a77a",
+    ("query_exp", "synthetic:rewrite:n=8"): "4dc9de3e1def3a27304e035116ade4b466d20f3c5b3f53d823fb9eb4ee8bd853",
+    ("rewrite_equivalence", "synthetic:rewrite:n=8"): "ae4f5a7bb5ee69f073c6317f0730db15e530042a60f7f19ae093b47b78780b89",
+    ("rewrite_speedup", "synthetic:rewrite:n=8"): "d7766923ed5bd22330c0cc5cfb535adfc2a9bbfe03961959f2b0c9f86f3700e3",
+    ("rewrite_equivalence", "synthetic:rewrite:n=8:families=or-in+setop-exists"): "0cfcd2be8769a1cacf62370e95c5798db82250fe4245fc45dd2e3d85d8cc501c",
+    ("rewrite_speedup", "synthetic:rewrite:n=8:families=or-in+setop-exists"): "fc8dd7c17e623707b1c3ae03f198ac801147d9d8e71658efa5cbcdb49e07ea1e",
 }
 
 
