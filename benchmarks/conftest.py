@@ -8,6 +8,7 @@ series the paper reports (under ``results/``).
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -18,9 +19,10 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
 @pytest.fixture(scope="session")
-def engine() -> ExperimentEngine:
+def engine() -> Iterator[ExperimentEngine]:
     """One shared engine so workloads/datasets are generated once."""
-    return ExperimentEngine(EngineConfig(seed=0))
+    with ExperimentEngine(EngineConfig(seed=0)) as engine:
+        yield engine
 
 
 @pytest.fixture(scope="session")

@@ -20,8 +20,8 @@ from repro.evalfw import (
 
 
 def main(workload: str = "sdss") -> None:
-    engine = ExperimentEngine(EngineConfig(seed=0))
-    grid = engine.run_task("syntax_error", workloads=(workload,))
+    with ExperimentEngine(EngineConfig(seed=0)) as engine:
+        grid = engine.run_task("syntax_error", workloads=(workload,))
 
     print(render_table(metrics_table(grid, "binary"), f"syntax_error on {workload}"))
     print()

@@ -69,7 +69,7 @@ from repro.llm.backends import (
 from repro.llm.profiles import MODEL_PROFILES, ModelProfile
 from repro.prompts.templates import PromptTemplate
 from repro.sql.analysis_cache import counters as analysis_counters
-from repro.tasks.base import ModelAnswer, TaskDataset, TaskInstance
+from repro.tasks.base import ModelAnswer, TaskDataset
 from repro.tasks.registry import TASK_WORKLOADS, build_dataset
 from repro.workloads import load_workload
 from repro.workloads.base import Workload
@@ -252,9 +252,9 @@ class ExperimentEngine:
         self.cell_log: list[CellLog] = []
         self._workloads: dict[str, Workload] = {}
         self._datasets: dict[tuple[str, str], TaskDataset] = {}
-        #: Backends, token bucket and breaker health of the in-process
-        #: loop, kept across its chunks and cells.
-        self._answer_state = AnswerState()
+        #: The in-process loop's event loop, bucket, breaker and
+        #: backends, kept across its chunks and cells.
+        self._answer_state = AnswerState(config)
         #: Lifecycle hooks, wired by the CLI: a write-ahead journal for
         #: crash-safe resume, a graceful-interrupt latch polled at the
         #: engine's checkpoints, and an optional per-commit callback
@@ -573,7 +573,9 @@ class ExperimentEngine:
             self._journal_cell(profile.name, task, workload_name, CELL_IN_FLIGHT)
             for start in range(0, len(instances), MATERIALISED_CHUNK_SIZE):
                 chunk = instances[start : start + MATERIALISED_CHUNK_SIZE]
-                yield self._chunk_spec(profile, task, chunk, prompt)
+                yield ChunkSpec(
+                    profile, task, tuple(chunk), prompt, self.config.cell_deadline
+                )
 
         def on_merged(_index, _spec, chunk_answers, seconds) -> None:
             answers.extend(chunk_answers)
@@ -750,40 +752,16 @@ class ExperimentEngine:
             ]
         )
 
-    def _chunk_spec(
-        self,
-        profile: ModelProfile,
-        task: str,
-        instances: Sequence[TaskInstance],
-        prompt: Optional[PromptTemplate],
-    ) -> ChunkSpec:
-        """One chunk for :func:`evaluate_chunk`, with the full cell deadline.
-
-        The in-process loop narrows the deadline to what is left of the
-        cell's budget; the queue grants each chunk all of it.
-        """
-        config = self.config
-        return ChunkSpec(
-            profile=profile,
-            task=task,
-            instances=tuple(instances),
-            prompt=prompt,
-            backend=config.backend,
-            max_concurrency=config.max_concurrency,
-            rps=config.rps,
-            request_timeout=config.request_timeout,
-            deadline=config.cell_deadline,
-            breaker_threshold=config.resolved_breaker_threshold() or 0,
-        )
-
     def _run_inline(self, cell: "CellWork") -> None:
         """The in-process loop (``workers=1``): one cell's chunks, in order.
 
         Each chunk goes through :func:`~repro.engine.worker.evaluate_chunk`,
         exactly as on a queue worker, with the engine's
-        :class:`~repro.engine.worker.AnswerState`.  Unlike the queue, the
-        cell deadline is spent cumulatively across the cell's chunks.  As
-        on the work queue, the cell's outcome goes to ``cell.on_done``.
+        :class:`~repro.engine.worker.AnswerState`.  A chunk arrives with
+        the full cell deadline; unlike the queue, this loop narrows it to
+        what is left of the cell's budget, so the budget is spent
+        cumulatively across the cell's chunks.  As on the work queue, the
+        cell's outcome goes to ``cell.on_done``.
         """
         deadline = self.config.cell_deadline
         cell_started = time.monotonic()

@@ -68,7 +68,7 @@ from repro.tasks.streaming import iter_instance_chunks
 from repro.workloads.streaming import WorkloadStream, stream_workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.engine.core import ExperimentEngine
+    from repro.engine.core import EngineConfig, ExperimentEngine
 
 #: Pending chunks a queue worker may hold (1 running + 1 prefetched).
 PREFETCH = 2
@@ -182,11 +182,11 @@ class _CellRun:
 class _QueueWorker:
     """One queue worker process plus its parent-side bookkeeping."""
 
-    def __init__(self, ctx, result_queue) -> None:
+    def __init__(self, ctx, result_queue, config: "EngineConfig") -> None:
         self.task_queue = ctx.Queue()
         self.process = ctx.Process(
             target=stream_worker_main,
-            args=(self.task_queue, result_queue),
+            args=(self.task_queue, result_queue, config),
             daemon=True,
         )
         self.process.start()
@@ -224,17 +224,22 @@ class _QueueWorker:
 
 
 class StreamPool:
-    """A set of queue workers sharing one result queue."""
+    """``config.workers`` queue workers sharing one result queue.
 
-    def __init__(self, workers: int) -> None:
+    Each worker is spawned with the engine's config, from which it
+    builds its own answering state.
+    """
+
+    def __init__(self, config: "EngineConfig") -> None:
         self.ctx = multiprocessing.get_context()
+        self.config = config
         self.result_queue = self.ctx.Queue()
         self.workers: dict[int, _QueueWorker] = {}
-        for _ in range(workers):
+        for _ in range(config.workers):
             self._spawn()
 
     def _spawn(self) -> _QueueWorker:
-        worker = _QueueWorker(self.ctx, self.result_queue)
+        worker = _QueueWorker(self.ctx, self.result_queue, self.config)
         self.workers[worker.pid] = worker
         return worker
 
@@ -288,7 +293,7 @@ class StreamingEvaluator:
 
     def _get_pool(self) -> StreamPool:
         if self._pool is None:
-            self._pool = StreamPool(self.engine.config.workers)
+            self._pool = StreamPool(self.engine.config)
         return self._pool
 
     def close(self) -> None:
@@ -498,7 +503,9 @@ class StreamingEvaluator:
 
         cell = CellWork(
             chunks=(
-                engine._chunk_spec(profile, task, instances, prompt)
+                ChunkSpec(
+                    profile, task, tuple(instances), prompt, engine.config.cell_deadline
+                )
                 for instances in self._instance_chunks(task, workload_name)
             ),
             on_merged=on_merged,

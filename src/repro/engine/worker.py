@@ -6,7 +6,7 @@ work:
 
 * a :class:`ChunkSpec` — answer one chunk of one cell.  The chunk
   carries its instances inline; :func:`evaluate_chunk` batches their
-  requests through the async dispatcher to the spec's backend;
+  requests through the async dispatcher to the engine's backend;
 * a :class:`DatasetBuild` — build every missing dataset of one workload,
   so the parent can overlap dataset construction across workloads.  A
   worker loads each workload once for the pool's lifetime (later builds
@@ -16,32 +16,33 @@ work:
 
 :func:`evaluate_chunk` is the one chunk protocol (render, dispatch,
 extract), shared by the queue workers and the engine's in-process loop.
-Each of those owns one :class:`AnswerState`, which keeps backends,
-token buckets and breaker health across its chunks.  Everything
-crossing the process boundary is plain picklable dataclasses, and every
-answer depends only on ``(model, task, instance_id)`` — which is why any
-worker count yields byte-identical results.
+Each answering process owns one :class:`AnswerState`, built once from
+the engine's :class:`~repro.engine.core.EngineConfig`: the engine builds
+one for its in-process loop, and each queue worker builds one from the
+config the pool hands it at spawn.  A chunk therefore carries only what
+differs per chunk.  Everything crossing the process boundary is plain
+picklable dataclasses, and every answer depends only on ``(model, task,
+instance_id)`` — which is why any worker count yields byte-identical
+results.
 """
 
 from __future__ import annotations
 
+import asyncio
 import os
 import signal
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.llm.backends import (
-    DEFAULT_MAX_CONCURRENCY,
-    SIMULATED_SPEC,
     AsyncDispatcher,
     BackendError,
-    BackendSpec,
-    ModelBackend,
+    CircuitBreaker,
     ModelRequest,
+    TokenBucket,
     create_backend,
 )
-from repro.llm.backends.dispatch import BreakerState, BucketState, CircuitBreaker
 from repro.llm.base import LLMResponse
 from repro.llm.profiles import ModelProfile
 from repro.prompts.templates import PromptTemplate
@@ -50,25 +51,21 @@ from repro.tasks.registry import answers_from_responses, build_dataset, build_re
 from repro.workloads import load_workload
 from repro.workloads.base import Workload
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.engine.core import EngineConfig
+
 
 @dataclass(frozen=True)
 class ChunkSpec:
-    """One chunk of one cell: its instances and how to answer them."""
+    """One chunk of one cell: what differs from the other chunks of a run."""
 
     profile: ModelProfile
     task: str
     instances: tuple[TaskInstance, ...]
     prompt: Optional[PromptTemplate] = None
-    backend: BackendSpec = SIMULATED_SPEC
-    max_concurrency: int = DEFAULT_MAX_CONCURRENCY
-    rps: Optional[float] = None
-    #: Per-request wall-clock timeout (dispatcher ``asyncio.wait_for``).
-    request_timeout: Optional[float] = None
     #: Wall-clock budget for this dispatch batch (the cell deadline,
     #: granted per chunk — worker clocks don't compare across processes).
     deadline: Optional[float] = None
-    #: Circuit-breaker trip threshold; 0 disables the breaker.
-    breaker_threshold: int = 0
 
 
 @dataclass(frozen=True)
@@ -98,78 +95,89 @@ class ChunkTask:
 
 
 class AnswerState:
-    """What answering reuses across chunks: backends, buckets, breakers.
+    """One answering process's event loop, bucket, breaker and backends.
 
-    Backends are memoised so replay stores and HTTP pools survive
-    across chunks.  Token-bucket fill levels are kept so ``rps`` is a
-    sustained rate instead of a fresh burst per chunk (the aggregate
-    rate across a pool is ~``workers x rps``; size --rps accordingly).
-    Breaker health is kept so a backend that tripped during one chunk
-    stays tripped for the next instead of re-earning a full retry
-    ladder.  Each queue-worker process and each engine's in-process
-    loop owns one; ``repro serve`` runs one engine per job, so jobs
-    never share one.
+    Built once from the engine's config, and kept across every chunk and
+    cell that process answers:
+
+    * one event loop, made on the first dispatch and closed by
+      :meth:`close`; every batch runs on it;
+    * one :class:`TokenBucket` when ``rps`` is set, so ``rps`` is a
+      sustained rate instead of a fresh burst per chunk (the aggregate
+      rate across a pool is ~``workers x rps``; size --rps accordingly);
+    * one :class:`CircuitBreaker` when the breaker is on, so a backend
+      that tripped during one chunk stays tripped for the next instead
+      of re-earning a full retry ladder;
+    * one dispatcher per model, over its own backend, so replay stores
+      and HTTP pools survive across chunks.
+
+    ``repro serve`` runs one engine per job, so jobs never share one.
     """
 
-    def __init__(self) -> None:
-        self._backends: dict[tuple[BackendSpec, str], tuple[ModelProfile, ModelBackend]] = {}
-        self._buckets: dict[tuple[BackendSpec, Optional[float]], BucketState] = {}
-        self._breakers: dict[BackendSpec, BreakerState] = {}
+    def __init__(self, config: "EngineConfig") -> None:
+        self.config = config
+        threshold = config.resolved_breaker_threshold()
+        self.breaker = (
+            CircuitBreaker(threshold, backend_name=config.backend.name)
+            if threshold is not None
+            else None
+        )
+        self._dispatchers: dict[str, tuple[ModelProfile, AsyncDispatcher]] = {}
+        self._start()
 
-    def _backend(self, spec: BackendSpec, profile: ModelProfile) -> ModelBackend:
-        memo_key = (spec, profile.name)
-        cached = self._backends.get(memo_key)
-        if cached is None or cached[0] != profile:
-            self._backends[memo_key] = (profile, create_backend(spec, profile))
-        return self._backends[memo_key][1]
+    def _start(self) -> None:
+        # The loop itself is made on the first run.  A bucket's asyncio
+        # lock binds to the loop it first queues on, so each loop gets
+        # its own bucket.
+        self._runner = asyncio.Runner()
+        rps = self.config.rps
+        self.bucket = TokenBucket(rps) if rps is not None else None
 
     def dispatch(
         self, spec: ChunkSpec, requests: Sequence[ModelRequest]
     ) -> list[LLMResponse]:
-        """Run one chunk's requests as one dispatch batch."""
-        breaker = None
-        if spec.breaker_threshold > 0:
-            breaker = CircuitBreaker(
-                threshold=spec.breaker_threshold,
-                state=self._breakers.setdefault(spec.backend, BreakerState()),
-                backend_name=spec.backend.name,
+        """Run one chunk's requests as one dispatch batch on this loop."""
+        profile = spec.profile
+        cached = self._dispatchers.get(profile.name)
+        if cached is None or cached[0] != profile:
+            dispatcher = AsyncDispatcher(
+                create_backend(self.config.backend, profile),
+                max_concurrency=self.config.max_concurrency,
+                request_timeout=self.config.request_timeout,
+                bucket=self.bucket,
+                breaker=self.breaker,
+                runner=self._runner.run,
             )
-        bucket_key = (spec.backend, spec.rps)
-        dispatcher = AsyncDispatcher(
-            self._backend(spec.backend, spec.profile),
-            max_concurrency=spec.max_concurrency,
-            rps=spec.rps,
-            bucket_state=self._buckets.get(bucket_key),
-            request_timeout=spec.request_timeout,
-            breaker=breaker,
-        )
-        responses = dispatcher.run_sync(requests, deadline_seconds=spec.deadline)
-        if dispatcher.bucket_state is not None:
-            self._buckets[bucket_key] = dispatcher.bucket_state
-        return responses
+            cached = self._dispatchers[profile.name] = (profile, dispatcher)
+        return cached[1].run_sync(requests, deadline_seconds=spec.deadline)
 
     def close(self) -> None:
-        """Release every memoised backend (idempotent)."""
-        for _, backend in self._backends.values():
-            closer = getattr(backend, "close", None)
+        """Close the event loop and every backend (idempotent).
+
+        A later dispatch starts a fresh loop with a fresh bucket and
+        fresh backends; breaker health carries over.
+        """
+        for _, dispatcher in self._dispatchers.values():
+            closer = getattr(dispatcher.backend, "close", None)
             if closer is not None:
                 closer()
-        self._backends.clear()
+        self._dispatchers.clear()
+        self._runner.close()
+        self._start()
 
 
 def evaluate_chunk(
-    spec: ChunkSpec, state: Optional[AnswerState] = None
+    spec: ChunkSpec, state: AnswerState
 ) -> tuple[list[ModelAnswer], float]:
     """Answer one chunk as one dispatch batch: ``(answers, seconds)``.
 
-    ``state`` is the caller's :class:`AnswerState` (a fresh one when
-    omitted).  ``seconds`` is the chunk's wall time — on the queue the
-    parent sums the workers' times into per-cell compute time for
-    provenance (chunks of different cells overlap, so the parent's own
-    clock cannot attribute time to cells).
+    ``state`` is the answering process's :class:`AnswerState`.
+    ``seconds`` is the chunk's wall time — on the queue the parent sums
+    the workers' times into per-cell compute time for provenance (chunks
+    of different cells overlap, so the parent's own clock cannot
+    attribute time to cells).
     """
     started = time.perf_counter()
-    state = state if state is not None else AnswerState()
     responses = state.dispatch(
         spec,
         [
@@ -208,8 +216,11 @@ def build_workload_datasets(
     return datasets, time.perf_counter() - started
 
 
-def stream_worker_main(task_queue, result_queue) -> None:
+def stream_worker_main(task_queue, result_queue, config: "EngineConfig") -> None:
     """Queue-worker loop: pull task descriptors until the None pill.
+
+    Chunks are answered through one :class:`AnswerState` built from the
+    engine's ``config``, closed when the pill arrives.
 
     Each result message is ``(kind, pid, cell, chunk, payload)`` with
     kind ``ok`` (payload ``(result, seconds)``) or ``error``.  An error
@@ -228,11 +239,12 @@ def stream_worker_main(task_queue, result_queue) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     pid = os.getpid()
     workloads: dict[tuple[str, int], Workload] = {}
-    answer_state = AnswerState()
+    answer_state = AnswerState(config)
     while True:
         item = task_queue.get()
         if item is None:
-            break
+            answer_state.close()
+            return
         try:
             if item.fault == "crash":
                 os._exit(43)

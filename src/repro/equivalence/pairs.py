@@ -79,8 +79,9 @@ def eligible_for_pairing(query: WorkloadQuery) -> bool:
     return True
 
 
-#: Per-workload checker settings.  Join-Order needs denser, better-connected
-#: instances: its MIN-aggregate join queries return a single row, so
+#: Per-workload :class:`EquivalenceChecker` keyword arguments; a workload
+#: without an entry gets the checker's defaults.  Join-Order needs denser,
+#: better-connected instances: its MIN-aggregate join queries return a single row, so
 #: non-equivalence witnesses are scarce on sparse data.
 CHECKER_SETTINGS: dict[str, dict[str, object]] = {
     "join_order": {"rows_per_table": 50, "dangling_fraction": 0.02},
@@ -186,8 +187,6 @@ def iter_verified_pairs(
     seed: int = 0,
     max_pairs: Optional[int] = None,
     verify: bool = True,
-    rows_per_table: int = 80,
-    dangling_fraction: float = 0.08,
 ) -> Iterator[QueryPair]:
     """Yield verified pairs lazily from eligible SELECT queries.
 
@@ -201,11 +200,7 @@ def iter_verified_pairs(
     closed when the generator is exhausted or closed.
     """
     rng = derive_rng(recipe.stream, source.name, seed)
-    overrides = CHECKER_SETTINGS.get(source.name, {})
-    rows_per_table = int(overrides.get("rows_per_table", rows_per_table))
-    dangling_fraction = float(
-        overrides.get("dangling_fraction", dangling_fraction)
-    )
+    settings = CHECKER_SETTINGS.get(source.name, {})
     checkers: dict[str, EquivalenceChecker] = {}
     try:
         produced = 0
@@ -219,11 +214,7 @@ def iter_verified_pairs(
                 continue
             schema = source.schema_for(query)
             if verify and query.schema_name not in checkers:
-                checkers[query.schema_name] = EquivalenceChecker(
-                    schema,
-                    rows_per_table=rows_per_table,
-                    dangling_fraction=dangling_fraction,
-                )
+                checkers[query.schema_name] = EquivalenceChecker(schema, **settings)
             checker = checkers.get(query.schema_name)
             first = recipe.first(query, schema, rng)
             first_text = render(first)

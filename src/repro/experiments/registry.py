@@ -51,14 +51,12 @@ PER_INSTANCE_ARTIFACTS: frozenset[str] = frozenset(
 )
 
 
-def run_experiment(
-    artifact: str, engine: ExperimentEngine | None = None
-) -> ExperimentResult:
-    """Run one artifact reproduction (fresh engine if none is shared)."""
+def run_experiment(artifact: str, engine: ExperimentEngine) -> ExperimentResult:
+    """Run one artifact reproduction on the caller's engine."""
     try:
         _, function = EXPERIMENTS[artifact]
     except KeyError:
         raise KeyError(
             f"unknown artifact {artifact!r}; expected one of {sorted(EXPERIMENTS)}"
         ) from None
-    return function(engine or ExperimentEngine())
+    return function(engine)

@@ -1,8 +1,8 @@
 """Atomic file replacement: the one write path for durable state.
 
-The result cache, the run journal and the service's job store all
-publish files that readers may open at any moment, so every write goes
-through :func:`write_atomic`: the bytes land in a uniquely named temp
+The result cache, the run journal, the run records and the service's
+job store all publish files that readers may open at any moment, so
+every write goes through :func:`write_atomic`: the bytes land in a uniquely named temp
 file next to the target, then ``os.replace`` swaps it in.  A reader
 sees the old file or the new one, never a torn one.
 

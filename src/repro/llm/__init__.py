@@ -1,6 +1,6 @@
 """Simulated LLM substrate: profiles, reasoning, verbalisation."""
 
-from repro.llm.base import LLMResponse, ModelClient
+from repro.llm.base import LLMResponse
 from repro.llm.describer import describe_query, describe_statement
 from repro.llm.profiles import (
     EQUIVALENCE,
@@ -19,7 +19,6 @@ from repro.llm.simulated import SimulatedLLM
 
 __all__ = [
     "LLMResponse",
-    "ModelClient",
     "SimulatedLLM",
     "ModelProfile",
     "TaskSkill",

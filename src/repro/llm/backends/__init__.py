@@ -22,10 +22,8 @@ from repro.llm.backends.dispatch import (
     DEFAULT_BREAKER_THRESHOLD,
     DEFAULT_MAX_CONCURRENCY,
     AsyncDispatcher,
-    BreakerState,
     CircuitBreaker,
     TokenBucket,
-    dispatch_requests,
 )
 from repro.llm.backends.registry import (
     BACKENDS,
@@ -40,7 +38,6 @@ __all__ = [
     "TransientBackendError",
     "CircuitOpenError",
     "DeadlineExceededError",
-    "BreakerState",
     "CircuitBreaker",
     "DEFAULT_BREAKER_THRESHOLD",
     "DEFAULT_BREAKER_COOLDOWN",
@@ -52,7 +49,6 @@ __all__ = [
     "DispatchStats",
     "AsyncDispatcher",
     "TokenBucket",
-    "dispatch_requests",
     "DEFAULT_MAX_CONCURRENCY",
     "BACKENDS",
     "backend_names",

@@ -2,31 +2,39 @@
 
 The engine hands a whole chunk of :class:`ModelRequest`\\ s to
 :class:`AsyncDispatcher`, which keeps up to ``max_concurrency`` of them
-in flight, throttles issue rate through a token bucket (``rps``), and
-retries transient failures with exponential backoff plus deterministic
-jitter.  Results come back in request order regardless of completion
-order, so chunked evaluation stays byte-identical to the serial path.
+in flight, throttles issue rate through a :class:`TokenBucket`, guards
+the backend with a :class:`CircuitBreaker`, and retries transient
+failures with exponential backoff plus deterministic jitter.  Results
+come back in request order regardless of completion order, so chunked
+evaluation stays byte-identical to the serial path.
+
+The bucket and the breaker hold their own state, so one of each,
+handed to every dispatcher of an answering process, makes ``rps`` a
+sustained per-process rate and carries breaker health from one batch to
+the next.  A batch runs on the coroutine runner the dispatcher is given:
+the engine passes the ``run`` of its one long-lived event loop
+(:class:`repro.engine.worker.AnswerState`), because a bucket's asyncio
+lock belongs to one loop; the default, ``asyncio.run``, gives each batch
+a private loop.
 
 Determinism: the jitter RNG is seeded from each request's id, and
 backends themselves are deterministic (the simulator) or replayed from
 fixtures — so a retried schedule changes *when* calls happen, never
 *what* they return.
 
-Test seams: ``sleep`` and ``clock`` are injectable, so the retry and
-rate-limit paths are property-tested against a fake backend and a fake
-clock without any real waiting.
+Test seams: ``sleep``, ``clock`` and the coroutine ``runner`` are
+injectable, so the retry and rate-limit paths are property-tested
+against a fake backend and a fake clock without any real waiting.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
-import threading
 import time
-from dataclasses import dataclass
-from typing import Awaitable, Callable, Optional, Sequence
-
 from collections import deque
+from typing import Any, Awaitable, Callable, Coroutine, Optional, Sequence
+
 from repro.llm.base import LLMResponse
 from repro.llm.backends.base import (
     BackendError,
@@ -57,58 +65,16 @@ DEFAULT_BREAKER_MIN_CALLS = 10
 DEFAULT_BREAKER_COOLDOWN = 30.0
 
 
-@dataclass
-class BucketState:
-    """Persistent token-bucket fill level.
-
-    Split out from :class:`TokenBucket` so the *state* can outlive any
-    one dispatcher/event loop: asyncio primitives must be recreated per
-    loop, but carrying the fill level across per-chunk dispatch batches
-    is what makes ``rps`` a sustained per-process rate instead of a
-    fresh burst for every chunk.
-
-    Refill-and-take is atomic under a process-wide (threading) lock:
-    concurrent jobs — each with its own dispatcher, event loop and
-    thread — can share one ``BucketState`` without double-counting the
-    same elapsed interval or granting one token twice.  An asyncio lock
-    cannot provide this (each loop would get its own), and the state
-    never crosses a process boundary (workers keep per-process states),
-    so a plain ``threading.Lock`` is exactly sufficient.
-    """
-
-    tokens: float
-    updated: float
-
-    def __post_init__(self) -> None:
-        self._lock = threading.Lock()
-
-    def take(
-        self, rps: float, capacity: float, now: float, epsilon: float = 0.0
-    ) -> tuple[bool, float]:
-        """Atomically refill to *now* and try to take one token.
-
-        Returns ``(granted, deficit)``: ``deficit`` is how many tokens
-        short the bucket is after the refill (0.0 when granted), which
-        callers turn into a sleep (``deficit / rps``) or a 429
-        ``Retry-After``.
-        """
-        with self._lock:
-            elapsed = max(now - self.updated, 0.0)
-            self.updated = now
-            self.tokens = min(capacity, self.tokens + elapsed * rps)
-            if self.tokens >= 1.0 - epsilon:
-                self.tokens -= 1.0
-                return True, 0.0
-            return False, 1.0 - self.tokens
-
-
 class TokenBucket:
     """Classic token bucket: ``rps`` sustained, ``burst`` peak.
 
     ``acquire`` waits (via the injected ``sleep``) until a token is
     available; refill is computed lazily from the injected ``clock`` so
-    tests can drive it with virtual time.  Pass a shared
-    :class:`BucketState` to continue a previous bucket's fill level.
+    tests can drive it with virtual time.  The fill level lives on the
+    bucket, so one bucket shared by successive dispatch batches keeps
+    ``rps`` a sustained rate instead of granting a fresh burst per batch.
+    Its asyncio lock binds to the first event loop that queues on it:
+    share a bucket only across batches of one loop.
     """
 
     def __init__(
@@ -117,7 +83,6 @@ class TokenBucket:
         burst: Optional[float] = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], Awaitable[None]] = asyncio.sleep,
-        state: Optional[BucketState] = None,
     ) -> None:
         if rps <= 0:
             raise ValueError(f"rps must be > 0, got {rps}")
@@ -125,9 +90,8 @@ class TokenBucket:
         self.capacity = float(burst) if burst is not None else max(self.rps, 1.0)
         self._clock = clock
         self._sleep = sleep
-        self.state = (
-            state if state is not None else BucketState(self.capacity, clock())
-        )
+        self.tokens = self.capacity
+        self.updated = clock()
         self._lock = asyncio.Lock()
 
     #: Tolerance against float rounding: sleeping exactly
@@ -135,23 +99,34 @@ class TokenBucket:
     #: without slack would loop forever on ever-tinier sleeps.
     EPSILON = 1e-9
 
+    def _take(self) -> float:
+        """Refill to now and try to take one token.
+
+        Returns how many tokens short the bucket is (0.0 when the token
+        was granted), which callers turn into a sleep (``deficit / rps``)
+        or a 429 ``Retry-After``.
+        """
+        now = self._clock()
+        elapsed = max(now - self.updated, 0.0)
+        self.updated = now
+        self.tokens = min(self.capacity, self.tokens + elapsed * self.rps)
+        if self.tokens >= 1.0 - self.EPSILON:
+            self.tokens -= 1.0
+            return 0.0
+        return 1.0 - self.tokens
+
     async def acquire(self) -> int:
         """Take one token; returns how many waits were needed.
 
-        The refill-and-take itself is atomic on the (possibly shared)
-        :class:`BucketState`; the asyncio lock only serialises waiters
-        within this event loop so they queue instead of thundering.
+        The asyncio lock serialises waiters so they queue instead of
+        thundering.
         """
         waits = 0
         async with self._lock:
-            while True:
-                granted, deficit = self.state.take(
-                    self.rps, self.capacity, self._clock(), self.EPSILON
-                )
-                if granted:
-                    return waits
+            while deficit := self._take():
                 waits += 1
                 await self._sleep(deficit / self.rps + self.EPSILON)
+        return waits
 
     def try_acquire(self) -> tuple[bool, float]:
         """Non-blocking take: ``(granted, seconds until next token)``.
@@ -160,39 +135,8 @@ class TokenBucket:
         later" instead of waiting — the server's per-client rate limit
         turns the returned delay into a 429 ``Retry-After``.
         """
-        granted, deficit = self.state.take(
-            self.rps, self.capacity, self._clock(), self.EPSILON
-        )
-        return granted, 0.0 if granted else deficit / self.rps
-
-
-@dataclass
-class BreakerState:
-    """Persistent circuit-breaker health, shareable across dispatchers.
-
-    Mirrors :class:`BucketState`: asyncio-free plain data, so the same
-    breaker memory outlives any one dispatcher/event loop.  The engine
-    threads one ``BreakerState`` per backend through successive
-    per-chunk dispatch batches — a backend that died during chunk 3
-    stays tripped for chunk 4 instead of re-earning a fresh retry
-    ladder.
-    """
-
-    #: "closed" (healthy), "open" (fail fast), or "half_open" (probing).
-    state: str = "closed"
-    consecutive_failures: int = 0
-    #: Clock value when the breaker last tripped open.
-    opened_at: float = 0.0
-    #: True while the single half-open probe is in flight.
-    probe_in_flight: bool = False
-    #: Rolling call outcomes (True = success) for the rate trip.
-    window: deque = None  # type: ignore[assignment]
-    #: How many times this breaker has tripped open (observability).
-    trips: int = 0
-
-    def __post_init__(self) -> None:
-        if self.window is None:
-            self.window = deque(maxlen=DEFAULT_BREAKER_WINDOW)
+        deficit = self._take()
+        return deficit == 0.0, deficit / self.rps
 
 
 class CircuitBreaker:
@@ -210,8 +154,10 @@ class CircuitBreaker:
       it and restarts the cooldown timer.
 
     Like the token bucket, the clock is injectable so tests drive the
-    cooldown with virtual time, and the mutable health lives in a
-    shareable :class:`BreakerState`.
+    cooldown with virtual time.  The breaker has no asyncio part, so one
+    breaker shared by successive dispatchers keeps its health: a backend
+    that died during one batch stays tripped for the next instead of
+    re-earning a fresh retry ladder.
     """
 
     def __init__(
@@ -221,7 +167,6 @@ class CircuitBreaker:
         min_calls: int = DEFAULT_BREAKER_MIN_CALLS,
         cooldown: float = DEFAULT_BREAKER_COOLDOWN,
         clock: Callable[[], float] = time.monotonic,
-        state: Optional[BreakerState] = None,
         backend_name: str = "backend",
     ) -> None:
         if threshold < 1:
@@ -234,7 +179,17 @@ class CircuitBreaker:
         self.cooldown = cooldown
         self.backend_name = backend_name
         self._clock = clock
-        self.state = state if state is not None else BreakerState()
+        #: "closed" (healthy), "open" (fail fast), or "half_open" (probing).
+        self.state = "closed"
+        self.consecutive_failures = 0
+        #: Clock value when the breaker last tripped open.
+        self.opened_at = 0.0
+        #: True while the single half-open probe is in flight.
+        self.probe_in_flight = False
+        #: Rolling call outcomes (True = success) for the rate trip.
+        self.window: deque[bool] = deque(maxlen=DEFAULT_BREAKER_WINDOW)
+        #: How many times this breaker has tripped open (observability).
+        self.trips = 0
 
     def admit(self) -> None:
         """Gate one request; raises :class:`CircuitOpenError` if shut.
@@ -244,57 +199,54 @@ class CircuitBreaker:
         *half-open* state only that single probe is in flight — all
         other callers fail fast until its outcome is known.
         """
-        s = self.state
-        if s.state == "closed":
+        if self.state == "closed":
             return
-        if s.state == "open":
-            elapsed = self._clock() - s.opened_at
+        if self.state == "open":
+            elapsed = self._clock() - self.opened_at
             if elapsed < self.cooldown:
                 remaining = self.cooldown - elapsed
                 raise CircuitOpenError(
                     f"circuit open for backend {self.backend_name!r}: "
-                    f"failing fast ({s.trips} trip(s); next probe in "
+                    f"failing fast ({self.trips} trip(s); next probe in "
                     f"{remaining:.1f}s)"
                 )
-            s.state = "half_open"
-            s.probe_in_flight = True
+            self.state = "half_open"
+            self.probe_in_flight = True
             return
         # half_open: admit exactly one probe.
-        if s.probe_in_flight:
+        if self.probe_in_flight:
             raise CircuitOpenError(
                 f"circuit half-open for backend {self.backend_name!r}: "
                 "probe already in flight"
             )
-        s.probe_in_flight = True
+        self.probe_in_flight = True
 
     def on_success(self) -> None:
         """Record a successful call; a half-open probe closes the breaker."""
-        s = self.state
-        s.consecutive_failures = 0
-        if s.state == "half_open":
-            s.state = "closed"
-            s.probe_in_flight = False
-            s.window.clear()
+        self.consecutive_failures = 0
+        if self.state == "half_open":
+            self.state = "closed"
+            self.probe_in_flight = False
+            self.window.clear()
             return
-        s.window.append(True)
+        self.window.append(True)
 
     def on_failure(self) -> None:
         """Record a transient failure; may trip the breaker open."""
-        s = self.state
-        s.consecutive_failures += 1
-        if s.state == "half_open":
+        self.consecutive_failures += 1
+        if self.state == "half_open":
             # The probe failed: re-open and restart the cooldown.
             self._trip()
             return
-        if s.state == "open":
+        if self.state == "open":
             return
-        s.window.append(False)
-        failures = sum(1 for ok in s.window if not ok)
+        self.window.append(False)
+        failures = sum(1 for ok in self.window if not ok)
         rate_tripped = (
-            len(s.window) >= self.min_calls
-            and failures / len(s.window) >= self.rate
+            len(self.window) >= self.min_calls
+            and failures / len(self.window) >= self.rate
         )
-        if s.consecutive_failures >= self.threshold or rate_tripped:
+        if self.consecutive_failures >= self.threshold or rate_tripped:
             self._trip()
 
     def release_probe(self) -> None:
@@ -304,15 +256,14 @@ class CircuitBreaker:
         rather than completing — otherwise ``probe_in_flight`` would
         stay latched and the breaker could never re-probe.
         """
-        if self.state.state == "half_open":
-            self.state.probe_in_flight = False
+        if self.state == "half_open":
+            self.probe_in_flight = False
 
     def _trip(self) -> None:
-        s = self.state
-        s.state = "open"
-        s.opened_at = self._clock()
-        s.probe_in_flight = False
-        s.trips += 1
+        self.state = "open"
+        self.opened_at = self._clock()
+        self.probe_in_flight = False
+        self.trips += 1
 
 
 def _jitter_rng(request: ModelRequest, attempt: int) -> random.Random:
@@ -321,22 +272,26 @@ def _jitter_rng(request: ModelRequest, attempt: int) -> random.Random:
 
 
 class AsyncDispatcher:
-    """Bounded-concurrency, rate-limited, retrying request funnel."""
+    """Bounded-concurrency, rate-limited, retrying request funnel.
+
+    ``bucket`` and ``breaker`` are optional and may be shared with other
+    dispatchers on the same event loop; ``runner`` runs one batch's
+    coroutine from synchronous code (:meth:`run_sync`).
+    """
 
     def __init__(
         self,
         backend: ModelBackend,
         max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
-        rps: Optional[float] = None,
-        burst: Optional[float] = None,
         max_retries: int = DEFAULT_MAX_RETRIES,
         backoff_base: float = DEFAULT_BACKOFF_BASE,
         backoff_cap: float = DEFAULT_BACKOFF_CAP,
         sleep: Callable[[float], Awaitable[None]] = asyncio.sleep,
         clock: Callable[[], float] = time.monotonic,
-        bucket_state: Optional[BucketState] = None,
         request_timeout: Optional[float] = None,
+        bucket: Optional[TokenBucket] = None,
         breaker: Optional[CircuitBreaker] = None,
+        runner: Callable[[Coroutine], Any] = asyncio.run,
     ) -> None:
         if max_concurrency < 1:
             raise ValueError(
@@ -350,16 +305,15 @@ class AsyncDispatcher:
             )
         self.backend = backend
         self.max_concurrency = max_concurrency
-        self.rps = rps
-        self.burst = burst
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
         self._sleep = sleep
         self._clock = clock
-        self.bucket_state = bucket_state
         self.request_timeout = request_timeout
+        self.bucket = bucket
         self.breaker = breaker
+        self._runner = runner
         self.stats = DispatchStats()
 
     def backoff_delay(self, request: ModelRequest, attempt: int) -> float:
@@ -394,10 +348,7 @@ class AsyncDispatcher:
         return min(self.request_timeout, remaining)
 
     async def _complete_with_retry(
-        self,
-        request: ModelRequest,
-        bucket: Optional[TokenBucket],
-        deadline: Optional[float] = None,
+        self, request: ModelRequest, deadline: Optional[float]
     ) -> LLMResponse:
         attempt = 0
         while True:
@@ -409,8 +360,8 @@ class AsyncDispatcher:
                     self.stats.breaker_rejections += 1
                     self.stats.failures += 1
                     raise
-            if bucket is not None:
-                self.stats.rate_waits += await bucket.acquire()
+            if self.bucket is not None:
+                self.stats.rate_waits += await self.bucket.acquire()
             try:
                 if timeout is not None:
                     response = await asyncio.wait_for(
@@ -459,8 +410,9 @@ class AsyncDispatcher:
         """Answer every request; results align index-for-index.
 
         Any request that exhausts its retries (or fails terminally)
-        propagates its exception — the caller decides whether a partial
-        cell is acceptable (the engine: it is not).
+        propagates its exception once the batch's other requests are
+        cancelled — the caller decides whether a partial cell is
+        acceptable (the engine: it is not).
 
         ``deadline_seconds`` bounds the whole batch by wall clock: once
         it elapses, not-yet-issued attempts fail with
@@ -473,57 +425,29 @@ class AsyncDispatcher:
             started + deadline_seconds if deadline_seconds is not None else None
         )
         semaphore = asyncio.Semaphore(self.max_concurrency)
-        bucket = None
-        if self.rps is not None:
-            bucket = TokenBucket(
-                self.rps,
-                self.burst,
-                clock=self._clock,
-                sleep=self._sleep,
-                state=self.bucket_state,
-            )
-            # Persist the fill level across run() calls (and across the
-            # per-chunk dispatchers the engine workers create), so the
-            # burst allowance is not replenished by mere re-batching.
-            self.bucket_state = bucket.state
 
         async def bounded(request: ModelRequest) -> LLMResponse:
             async with semaphore:
-                return await self._complete_with_retry(
-                    request, bucket, deadline
-                )
+                return await self._complete_with_retry(request, deadline)
 
+        tasks = [asyncio.create_task(bounded(request)) for request in requests]
         try:
-            results = await asyncio.gather(
-                *(bounded(request) for request in requests)
-            )
+            return await asyncio.gather(*tasks)
+        except BaseException:
+            # gather leaves the other requests running.  On a loop that
+            # outlives the batch they would keep retrying into the next
+            # one, so cancel them and wait until they are gone.
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+            raise
         finally:
             self.stats.seconds += self._clock() - started
-        return list(results)
 
     def run_sync(
         self,
         requests: Sequence[ModelRequest],
         deadline_seconds: Optional[float] = None,
     ) -> list[LLMResponse]:
-        """``run`` from synchronous code (one private event loop)."""
-        return asyncio.run(self.run(requests, deadline_seconds))
-
-
-def dispatch_requests(
-    backend: ModelBackend,
-    requests: Sequence[ModelRequest],
-    max_concurrency: int = DEFAULT_MAX_CONCURRENCY,
-    rps: Optional[float] = None,
-) -> list[LLMResponse]:
-    """One-shot convenience wrapper (tests, scripts, ad-hoc batches).
-
-    The engine's chunk loops construct :class:`AsyncDispatcher`
-    directly instead, because they thread a persistent
-    :class:`BucketState` through successive batches — this wrapper
-    starts every call with a fresh burst.
-    """
-    dispatcher = AsyncDispatcher(
-        backend, max_concurrency=max_concurrency, rps=rps
-    )
-    return dispatcher.run_sync(requests)
+        """``run`` from synchronous code, through this dispatcher's runner."""
+        return self._runner(self.run(requests, deadline_seconds))

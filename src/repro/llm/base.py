@@ -1,16 +1,15 @@
-"""Client-facing LLM types.
+"""The model response type.
 
-The reproduction talks to models through the same narrow interface the
-paper used: a prompt goes in, verbose natural-language text comes out,
+The reproduction talks to models the way the paper did: a prompt goes
+in, verbose natural-language text comes out as an :class:`LLMResponse`,
 and the response-processing pipeline (:mod:`repro.parsing`) extracts
 labels.  ``SimulatedLLM`` is the offline stand-in for the five hosted
-models; anything implementing :class:`ModelClient` can be swapped in.
+models; a :mod:`repro.llm.backends` backend swaps in any other model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
 
 
 @dataclass
@@ -22,12 +21,3 @@ class LLMResponse:
     prompt: str = ""
     metadata: dict = field(default_factory=dict)
 
-
-class ModelClient(Protocol):
-    """The minimal surface the evaluation framework needs."""
-
-    name: str
-
-    def complete(self, prompt: str) -> LLMResponse:
-        """Free-form completion (used by prompt tuning mock experiments)."""
-        ...

@@ -69,15 +69,6 @@ class SimulatedLLM:
     def _rng(self, task: str, instance_id: str) -> random.Random:
         return derive_rng(self.profile.name, task, instance_id)
 
-    # -- generic completion (prompt tuning mock experiments) ----------------
-
-    def complete(self, prompt: str) -> LLMResponse:
-        rng = self._rng("complete", prompt)
-        text = verbalize.yes_no_response(
-            rng.random() < 0.5, rng, self.profile.verbosity
-        )
-        return LLMResponse(text=text, model=self.profile.name, prompt=prompt)
-
     # -- syntax_error ---------------------------------------------------------
 
     def answer_syntax_error(

@@ -22,6 +22,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from repro.lifecycle import CellFailure
+from repro.lifecycle.atomic import write_atomic
 from repro.lifecycle.layout import DEFAULT_RUNS_DIR, new_run_id, utc_now
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -453,10 +454,7 @@ class RunRecordStore:
         return self.root / f"{run_id}.json"
 
     def save(self, record: RunRecord) -> Path:
-        path = self.path_for(record.run_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(record.to_json(), encoding="utf-8")
-        return path
+        return write_atomic(self.path_for(record.run_id), record.to_json())
 
     def run_ids(self) -> list[str]:
         if not self.root.is_dir():

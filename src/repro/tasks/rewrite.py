@@ -105,12 +105,13 @@ def iter_rewrite_speedup_instances(
 
     Labels compare the analytical base cost of both sides; the cap
     counts emitted instances (roughly half the pair stream carries a
-    positive equivalence label and so survives the filter).
+    positive equivalence label and so survives the filter), and no pair
+    is drawn once it is reached.
     """
+    if max_instances is not None and max_instances <= 0:
+        return
     produced = 0
     for pair in _rewrite_pairs(source, seed):
-        if max_instances is not None and produced >= max_instances:
-            break
         if not pair.equivalent:
             continue
         cost_first = base_cost_ms(pair.first_props)
@@ -135,6 +136,8 @@ def iter_rewrite_speedup_instances(
             ),
         )
         produced += 1
+        if produced == max_instances:
+            return
 
 
 def parse_rewrite_speedup_response(

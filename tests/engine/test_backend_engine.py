@@ -7,11 +7,21 @@ is folded into every cell cache key.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.engine.cache import cell_key
 from repro.engine.core import EngineConfig, ExperimentEngine
-from repro.llm.backends import BackendSpec, SIMULATED_SPEC
+from repro.llm.backends import (
+    BACKENDS,
+    AsyncDispatcher,
+    BackendSpec,
+    BaseBackend,
+    CircuitOpenError,
+    SIMULATED_SPEC,
+    TransientBackendError,
+)
 from repro.llm.profiles import GPT4, GPT35
 
 TASK = "performance_pred"
@@ -205,3 +215,68 @@ class TestBackendProvenance:
         ) as engine:
             wide = engine.run_cell(GPT4.name, TASK, WORKLOAD)
         assert narrow.answers == wide.answers
+
+
+class TestOneAnsweringStatePerEngine:
+    def test_in_process_chunks_share_one_event_loop(self, monkeypatch):
+        """Every chunk the in-process loop answers runs on one event
+        loop; a dispatch after close() starts a fresh one."""
+        loops, batches = [], []
+        new_event_loop = asyncio.events.new_event_loop
+        run_sync = AsyncDispatcher.run_sync
+
+        def counting_loop():
+            loops.append(new_event_loop())
+            return loops[-1]
+
+        def counting_run_sync(self, requests, *args, **kwargs):
+            batches.append(len(requests))
+            return run_sync(self, requests, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio.events, "new_event_loop", counting_loop)
+        monkeypatch.setattr(AsyncDispatcher, "run_sync", counting_run_sync)
+        engine = ExperimentEngine(EngineConfig(seed=0, max_instances=150), models=(GPT4, GPT35))
+        try:
+            for model in (GPT4.name, GPT35.name):
+                engine.run_cell(model, TASK, WORKLOAD)
+            assert len(batches) > 2
+            assert len(loops) == 1
+            engine.close()
+            assert loops[0].is_closed()
+            engine.run_cell(GPT4.name, "syntax_error", WORKLOAD)
+            assert len(loops) == 2
+        finally:
+            engine.close()
+        assert loops[1].is_closed()
+
+    def test_tripped_breaker_fails_the_next_cell_fast(self, monkeypatch):
+        """One breaker per engine: a backend that tripped it during one
+        cell is not called again for the next cell."""
+        calls = []
+
+        class Down(BaseBackend):
+            name = "down"
+
+            def __init__(self, profile, spec) -> None:
+                pass
+
+            def complete(self, request):
+                calls.append(request.request_id)
+                raise TransientBackendError("endpoint down")
+
+        monkeypatch.setitem(BACKENDS, "down", ("test backend", Down))
+        config = EngineConfig(
+            seed=0,
+            max_instances=CAP,
+            backend=BackendSpec.build("down", {}),
+            max_concurrency=1,
+            breaker_threshold=1,
+        )
+        with ExperimentEngine(config, models=(GPT4, GPT35)) as engine:
+            # The first call trips the breaker, so its retry is refused.
+            with pytest.raises(CircuitOpenError):
+                engine.run_cell(GPT4.name, TASK, WORKLOAD)
+            assert len(calls) == 1
+            with pytest.raises(CircuitOpenError, match="1 trip"):
+                engine.run_cell(GPT35.name, TASK, WORKLOAD)
+        assert len(calls) == 1

@@ -15,6 +15,7 @@ import pytest
 
 from repro.engine import ChunkSpec, EngineConfig, ExperimentEngine, evaluate_chunk
 from repro.engine.streaming import StreamFault
+from repro.engine.worker import AnswerState
 from repro.llm.backends import BACKENDS, BackendError, BaseBackend
 from repro.llm.backends.base import BackendSpec
 from repro.llm.backends.simulated import SimulatedBackend
@@ -59,15 +60,21 @@ def _answers(grid):
 
 class TestChunkEvaluation:
     def test_evaluate_chunk_matches_in_process_answers(self):
-        engine = ExperimentEngine(EngineConfig(seed=SEED, max_instances=CAP))
-        cell = engine.run_cell("gpt4", "syntax_error", "sdss")
-        answers, seconds = evaluate_chunk(
-            ChunkSpec(
-                profile=GPT4,
-                task="syntax_error",
-                instances=tuple(cell.dataset.instances),
+        config = EngineConfig(seed=SEED, max_instances=CAP)
+        with ExperimentEngine(config) as engine:
+            cell = engine.run_cell("gpt4", "syntax_error", "sdss")
+        state = AnswerState(config)
+        try:
+            answers, seconds = evaluate_chunk(
+                ChunkSpec(
+                    profile=GPT4,
+                    task="syntax_error",
+                    instances=tuple(cell.dataset.instances),
+                ),
+                state,
             )
-        )
+        finally:
+            state.close()
         assert answers == cell.answers
         assert seconds > 0
 

@@ -13,7 +13,7 @@ from repro.equivalence import (
     iter_verified_pairs,
 )
 from repro.equivalence import pairs as pairs_module
-from repro.equivalence.pairs import eligible_for_pairing
+from repro.equivalence.pairs import CHECKER_SETTINGS, eligible_for_pairing
 from repro.sql.properties import extract_properties
 from repro.sql.render import render
 from repro.tasks.streaming import iter_task_instances
@@ -23,11 +23,12 @@ from repro.workloads import load_workload
 @pytest.fixture(scope="module")
 def sdss_pairs():
     workload = load_workload("sdss", seed=0)
-    return workload, list(
-        iter_verified_pairs(
-            workload, QueryEquivPairs(), seed=0, max_pairs=60, rows_per_table=50
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(CHECKER_SETTINGS, "sdss", {"rows_per_table": 50})
+        pairs = list(
+            iter_verified_pairs(workload, QueryEquivPairs(), seed=0, max_pairs=60)
         )
-    )
+    return workload, pairs
 
 
 class TestPairGeneration:
@@ -70,14 +71,11 @@ class TestPairGeneration:
         finally:
             checker.close()
 
-    def test_deterministic(self):
+    def test_deterministic(self, monkeypatch):
         workload = load_workload("sqlshare", seed=0)
+        monkeypatch.setitem(CHECKER_SETTINGS, "sqlshare", {"rows_per_table": 30})
         first, second = (
-            list(
-                iter_verified_pairs(
-                    workload, QueryEquivPairs(), seed=1, max_pairs=12, rows_per_table=30
-                )
-            )
+            list(iter_verified_pairs(workload, QueryEquivPairs(), seed=1, max_pairs=12))
             for _ in range(2)
         )
         assert [(p.second_text, p.equivalent) for p in first] == [

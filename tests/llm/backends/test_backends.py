@@ -9,6 +9,7 @@ import json
 import pytest
 
 from repro.llm.backends import (
+    AsyncDispatcher,
     BackendError,
     BackendSpec,
     SIMULATED_SPEC,
@@ -16,7 +17,6 @@ from repro.llm.backends import (
     backend_names,
     create_backend,
     describe_backends,
-    dispatch_requests,
     spec_from_cli,
 )
 from repro.llm.backends.openai_compat import (
@@ -40,6 +40,10 @@ from repro.workloads import load_workload
 @pytest.fixture(scope="module")
 def sdss():
     return load_workload("sdss", 0)
+
+
+def _dispatch(backend, requests):
+    return AsyncDispatcher(backend).run_sync(requests)
 
 
 def _instances(workload, task, count=6):
@@ -126,11 +130,11 @@ class TestReplayBackend:
             "replay", {"dir": str(tmp_path), "mode": "record"}
         )
         recorder = create_backend(record_spec, GPT4)
-        recorded = dispatch_requests(recorder, requests)
+        recorded = _dispatch(recorder, requests)
 
         replay_spec = BackendSpec.build("replay", {"dir": str(tmp_path)})
         replayer = create_backend(replay_spec, GPT4)
-        replayed = dispatch_requests(replayer, requests)
+        replayed = _dispatch(replayer, requests)
         assert [r.text for r in replayed] == [r.text for r in recorded]
         assert [r.metadata for r in replayed] == [
             json.loads(json.dumps(r.metadata)) for r in recorded
@@ -141,14 +145,14 @@ class TestReplayBackend:
             BackendSpec.build("replay", {"dir": str(tmp_path)}), GPT4
         )
         with pytest.raises(BackendError, match="no fixture"):
-            dispatch_requests(replayer, self._requests(sdss, count=1))
+            _dispatch(replayer, self._requests(sdss, count=1))
 
     def test_fixture_layout_on_disk(self, tmp_path, sdss):
         recorder = create_backend(
             BackendSpec.build("replay", {"dir": str(tmp_path), "mode": "record"}),
             GPT4,
         )
-        dispatch_requests(recorder, self._requests(sdss, count=3))
+        _dispatch(recorder, self._requests(sdss, count=3))
         shard = tmp_path / "gpt4" / "syntax_error.jsonl"
         assert shard.is_file()
         lines = [
@@ -161,13 +165,13 @@ class TestReplayBackend:
     def test_duplicate_records_are_tolerated(self, tmp_path, sdss):
         requests = self._requests(sdss, count=2)
         spec = BackendSpec.build("replay", {"dir": str(tmp_path), "mode": "record"})
-        first = dispatch_requests(create_backend(spec, GPT4), requests)
+        first = _dispatch(create_backend(spec, GPT4), requests)
         # A fresh recorder re-records over the same file; replay still
         # resolves each key to one (identical) response.
-        dispatch_requests(create_backend(spec, GPT4), requests)
+        _dispatch(create_backend(spec, GPT4), requests)
         store = FixtureStore(tmp_path)
         assert store.entry_count() == 2  # identical re-records write nothing
-        replayed = dispatch_requests(
+        replayed = _dispatch(
             create_backend(BackendSpec.build("replay", {"dir": str(tmp_path)}), GPT4),
             requests,
         )
@@ -176,7 +180,7 @@ class TestReplayBackend:
     def test_rerecording_refreshes_stale_fixtures(self, tmp_path, sdss):
         requests = self._requests(sdss, count=2)
         spec = BackendSpec.build("replay", {"dir": str(tmp_path), "mode": "record"})
-        dispatch_requests(create_backend(spec, GPT4), requests)
+        _dispatch(create_backend(spec, GPT4), requests)
         # Hand-corrupt one fixture's text: a stale entry for a live key.
         shard = tmp_path / "gpt4" / "syntax_error.jsonl"
         lines = [json.loads(l) for l in shard.read_text().splitlines()]
@@ -184,8 +188,8 @@ class TestReplayBackend:
         shard.write_text("".join(json.dumps(l, sort_keys=True) + "\n" for l in lines))
         # Re-recording goes through the inner backend and appends the
         # corrected line, which wins over the stale one on replay.
-        fresh = dispatch_requests(create_backend(spec, GPT4), requests)
-        replayed = dispatch_requests(
+        fresh = _dispatch(create_backend(spec, GPT4), requests)
+        replayed = _dispatch(
             create_backend(BackendSpec.build("replay", {"dir": str(tmp_path)}), GPT4),
             requests,
         )
@@ -195,12 +199,12 @@ class TestReplayBackend:
     def test_torn_fixture_line_is_skipped(self, tmp_path, sdss):
         requests = self._requests(sdss, count=2)
         spec = BackendSpec.build("replay", {"dir": str(tmp_path), "mode": "record"})
-        dispatch_requests(create_backend(spec, GPT4), requests)
+        _dispatch(create_backend(spec, GPT4), requests)
         shard = tmp_path / "gpt4" / "syntax_error.jsonl"
         shard.write_text(
             shard.read_text() + '{"key": "torn-and-not-even-json'
         )
-        replayed = dispatch_requests(
+        replayed = _dispatch(
             create_backend(BackendSpec.build("replay", {"dir": str(tmp_path)}), GPT4),
             requests,
         )
@@ -307,7 +311,7 @@ class TestOpenAICompatBackend:
             [TransientBackendError("429"), _completion("No.")]
         )
         backend = self._backend(transport)
-        responses = dispatch_requests(backend, [self._request()])
+        responses = _dispatch(backend, [self._request()])
         assert responses[0].text == "No."
         assert len(transport.calls) == 2
 

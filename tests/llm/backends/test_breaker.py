@@ -5,6 +5,8 @@ All time goes through an injected virtual clock — no real sleeping.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.llm.backends.base import (
@@ -12,11 +14,7 @@ from repro.llm.backends.base import (
     ModelRequest,
     TransientBackendError,
 )
-from repro.llm.backends.dispatch import (
-    AsyncDispatcher,
-    BreakerState,
-    CircuitBreaker,
-)
+from repro.llm.backends.dispatch import AsyncDispatcher, CircuitBreaker
 from repro.llm.base import LLMResponse
 from tests.llm.backends.test_dispatch import EchoBackend, request
 
@@ -50,16 +48,16 @@ class TestTripAndCooldown:
     def test_closed_admits(self):
         cb, _ = breaker()
         cb.admit()
-        assert cb.state.state == "closed"
+        assert cb.state == "closed"
 
     def test_trips_after_consecutive_failures(self):
         cb, _ = breaker(threshold=3)
         for _ in range(2):
             cb.on_failure()
-        assert cb.state.state == "closed"
+        assert cb.state == "closed"
         cb.on_failure()
-        assert cb.state.state == "open"
-        assert cb.state.trips == 1
+        assert cb.state == "open"
+        assert cb.trips == 1
 
     def test_success_resets_consecutive_count(self):
         cb, _ = breaker(threshold=3)
@@ -68,7 +66,7 @@ class TestTripAndCooldown:
         cb.on_success()
         cb.on_failure()
         cb.on_failure()
-        assert cb.state.state == "closed"
+        assert cb.state == "closed"
 
     def test_open_rejects_with_named_error(self):
         cb, clock = breaker(threshold=1, cooldown=30.0)
@@ -83,7 +81,7 @@ class TestTripAndCooldown:
         for _ in range(5):
             cb.on_success()
             cb.on_failure()
-        assert cb.state.state == "open"
+        assert cb.state == "open"
 
 
 class TestHalfOpenProbe:
@@ -93,8 +91,8 @@ class TestHalfOpenProbe:
         cb.on_failure()
         clock.advance(30.0)
         cb.admit()  # the probe
-        assert cb.state.state == "half_open"
-        assert cb.state.probe_in_flight
+        assert cb.state == "half_open"
+        assert cb.probe_in_flight
         for _ in range(5):
             with pytest.raises(CircuitOpenError):
                 cb.admit()
@@ -105,8 +103,8 @@ class TestHalfOpenProbe:
         clock.advance(30.0)
         cb.admit()
         cb.on_success()
-        assert cb.state.state == "closed"
-        assert not cb.state.probe_in_flight
+        assert cb.state == "closed"
+        assert not cb.probe_in_flight
         cb.admit()  # closed again: everyone admitted
 
     def test_probe_failure_reopens_and_restarts_cooldown(self):
@@ -115,8 +113,8 @@ class TestHalfOpenProbe:
         clock.advance(30.0)
         cb.admit()
         cb.on_failure()
-        assert cb.state.state == "open"
-        assert cb.state.trips == 2
+        assert cb.state == "open"
+        assert cb.trips == 2
         clock.advance(29.0)
         with pytest.raises(CircuitOpenError):
             cb.admit()
@@ -151,24 +149,36 @@ class TestDispatcherIntegration:
         )
         with pytest.raises(TransientBackendError):
             dispatcher.run_sync([request(0)])
-        assert cb.state.state == "open"
+        assert cb.state == "open"
         with pytest.raises(CircuitOpenError):
             dispatcher.run_sync([request(1)])
         # The rejected request never reached the backend.
         assert backend.calls == 1
         assert dispatcher.stats.breaker_rejections == 1
 
-    def test_shared_state_outlives_dispatcher(self):
-        # The engine keeps one BreakerState per backend across
-        # dispatchers (serial path) and processes (worker memo); a new
-        # dispatcher over the same state starts tripped.
-        state = BreakerState()
-        clock = Clock()
-        cb1 = CircuitBreaker(threshold=1, clock=clock, state=state)
-        cb1.on_failure()
-        cb2 = CircuitBreaker(threshold=1, clock=clock, state=state)
-        with pytest.raises(CircuitOpenError):
-            cb2.admit()
+    def test_shared_breaker_stays_tripped_across_dispatchers(self):
+        # An answering process hands its one breaker to every
+        # dispatcher on its loop; a dispatcher after the trip starts
+        # tripped and never reaches the backend.
+        cb, _ = breaker(threshold=1)
+        backend = FailingBackend()
+        with asyncio.Runner() as runner:
+            first, second = (
+                AsyncDispatcher(
+                    backend,
+                    max_retries=0,
+                    sleep=_no_sleep,
+                    breaker=cb,
+                    runner=runner.run,
+                )
+                for _ in range(2)
+            )
+            with pytest.raises(TransientBackendError):
+                first.run_sync([request(0)])
+            with pytest.raises(CircuitOpenError):
+                second.run_sync([request(1)])
+        assert backend.calls == 1
+        assert second.stats.breaker_rejections == 1
 
 
 async def _no_sleep(seconds: float) -> None:
@@ -180,8 +190,6 @@ class HangingBackend(EchoBackend):
 
     async def acomplete(self, req: ModelRequest) -> LLMResponse:
         self.calls += 1
-        import asyncio
-
         await asyncio.sleep(60)
         return LLMResponse(text="too late", model=req.model)
 
@@ -218,4 +226,4 @@ class TestDeadlines:
         )
         with pytest.raises(TransientBackendError):
             dispatcher.run_sync([request(0)])
-        assert cb.state.state == "open"
+        assert cb.state == "open"

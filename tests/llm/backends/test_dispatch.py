@@ -244,9 +244,9 @@ class TestTokenBucket:
         dispatcher = AsyncDispatcher(
             backend,
             max_concurrency=4,
-            rps=5.0,
             sleep=clock.sleep,
             clock=clock,
+            bucket=TokenBucket(rps=5.0, clock=clock, sleep=clock.sleep),
         )
         responses = dispatcher.run_sync([request(i) for i in range(20)])
         assert len(responses) == 20
@@ -254,30 +254,45 @@ class TestTokenBucket:
         # 20 requests at 5 rps with a burst of 5: >= 3 virtual seconds.
         assert clock.now >= 3.0
 
-    def test_bucket_state_persists_across_dispatchers(self):
-        """A shared BucketState must carry the fill level over, so
-        re-batching (one dispatcher per shard) cannot re-burst."""
+    def test_shared_bucket_keeps_fill_level_across_dispatchers(self):
+        """Two dispatchers on one loop sharing one bucket: the second
+        starts from the drained level, so re-batching (one dispatcher
+        per chunk) cannot re-burst."""
         clock = FakeClock()
+        bucket = TokenBucket(rps=2.0, clock=clock, sleep=clock.sleep)
         backend = EchoBackend(yield_first=False)
-        first = AsyncDispatcher(
-            backend, max_concurrency=2, rps=2.0, sleep=clock.sleep, clock=clock
-        )
-        first.run_sync([request(i) for i in range(4)])
-        drained_at = clock.now
-        assert first.bucket_state is not None
-        assert first.bucket_state.tokens < 1.0  # bucket left empty
-        second = AsyncDispatcher(
-            backend,
-            max_concurrency=2,
-            rps=2.0,
-            sleep=clock.sleep,
-            clock=clock,
-            bucket_state=first.bucket_state,
-        )
-        second.run_sync([request(i) for i in range(2)])
-        # Without the carried state the second batch would ride a fresh
-        # burst and finish instantly; with it, it must wait ~1s.
+        with asyncio.Runner() as runner:
+            first, second = (
+                AsyncDispatcher(
+                    backend,
+                    max_concurrency=2,
+                    sleep=clock.sleep,
+                    clock=clock,
+                    bucket=bucket,
+                    runner=runner.run,
+                )
+                for _ in range(2)
+            )
+            first.run_sync([request(i) for i in range(4)])
+            drained_at = clock.now
+            assert bucket.tokens < 1.0  # bucket left empty
+            second.run_sync([request(i) for i in range(2)])
+        # A fresh bucket would let the second batch ride a new burst and
+        # finish instantly; the shared one makes it wait ~1s.
         assert clock.now - drained_at >= 0.9
+        assert second.stats.rate_waits > 0
+
+    def test_try_acquire_denies_with_retry_delay(self):
+        clock = FakeClock()
+        bucket = TokenBucket(rps=1.0, burst=2, clock=clock, sleep=clock.sleep)
+        assert bucket.try_acquire() == (True, 0.0)
+        assert bucket.try_acquire() == (True, 0.0)
+        ok, retry_after = bucket.try_acquire()
+        assert not ok
+        assert retry_after == pytest.approx(1.0)
+        clock.now = 1.5  # one token refilled
+        ok, retry_after = bucket.try_acquire()
+        assert ok and retry_after == 0.0
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -295,3 +310,46 @@ class TestTokenBucket:
         asyncio.run(drain())
         expected = (count - 1) / rps  # first token rides the burst
         assert clock.now == pytest.approx(expected, rel=0.1)
+
+
+class _LeftBehind(BaseBackend):
+    """``req-0`` fails terminally at once; the other requests fail
+    transiently after a yield, so they are still retrying when the
+    batch raises.  Records every call."""
+
+    name = "left-behind"
+
+    def __init__(self) -> None:
+        self.seen: list[str] = []
+
+    async def acomplete(self, req: ModelRequest) -> LLMResponse:
+        self.seen.append(req.request_id)
+        if req.request_id == "req-0":
+            raise BackendError("terminal failure")
+        await asyncio.sleep(0)
+        if req.task == "failing":
+            raise TransientBackendError(f"transient {req.request_id}")
+        return LLMResponse(text=req.request_id, model=req.model)
+
+
+class TestOneLoopAcrossBatches:
+    def test_failed_batch_leaves_nothing_on_the_loop(self):
+        """A batch that raises cancels and awaits its other requests
+        before raising, so nothing of it runs on into the next batch on
+        the same loop."""
+        backend = _LeftBehind()
+        with asyncio.Runner() as runner:
+            dispatcher = AsyncDispatcher(
+                backend,
+                max_concurrency=4,
+                max_retries=50,
+                sleep=_virtual_sleep,
+                runner=runner.run,
+            )
+            with pytest.raises(BackendError, match="terminal"):
+                dispatcher.run_sync([request(i, task="failing") for i in range(4)])
+            assert not asyncio.all_tasks(runner.get_loop())
+            called = len(backend.seen)
+            responses = dispatcher.run_sync([request(i) for i in range(10, 13)])
+            assert [r.text for r in responses] == ["req-10", "req-11", "req-12"]
+            assert backend.seen[called:] == ["req-10", "req-11", "req-12"]

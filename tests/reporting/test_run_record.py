@@ -1,6 +1,8 @@
 """RunRecord schema round-trips and the on-disk store."""
 
+import dataclasses
 import json
+import threading
 
 import pytest
 
@@ -14,7 +16,7 @@ from repro.reporting.run_record import (
     new_run_id,
     record_from_engine,
 )
-from tests.reporting.fixtures import make_cell_result, make_record
+from tests.reporting.fixtures import make_cell_record, make_cell_result, make_record
 
 
 class TestCellRecordFromResult:
@@ -169,6 +171,46 @@ class TestStore:
             newer.run_id,
         ]
         assert store.latest().run_id == newer.run_id
+
+
+class TestConcurrentSaveAndLoad:
+    def test_reader_never_sees_a_torn_record(self, tmp_path, monkeypatch):
+        """A thread loading a record while another thread saves it
+        reads the old record or the new one, never part of one."""
+        record = dataclasses.replace(
+            make_record(),
+            cells=tuple(make_cell_record(model=f"m{i}") for i in range(400)),
+        )
+        # Serialise once, so the writer spends its time writing.
+        text = record.to_json()
+        monkeypatch.setattr(RunRecord, "to_json", lambda self: text)
+        store = RunRecordStore(tmp_path / "runs")
+        store.save(record)
+        saving = threading.Event()
+        saving.set()
+        errors: list[Exception] = []
+        loads = 0
+
+        def read() -> None:
+            nonlocal loads
+            while saving.is_set():
+                try:
+                    assert store.load(record.run_id) == record
+                except Exception as error:  # noqa: BLE001 - collected
+                    errors.append(error)
+                loads += 1
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        try:
+            for _ in range(200):
+                store.save(record)
+        finally:
+            saving.clear()
+            reader.join()
+        assert loads > 0
+        assert errors == []
+        assert store.run_ids() == [record.run_id]
 
 
 class TestAnalysisCacheStats:

@@ -88,6 +88,29 @@ class TestDatasets:
                 for i in streamed
             ]
 
+    def test_capped_speedup_build_stops_at_its_cap(self, monkeypatch):
+        """A capped build draws no pair past its last instance: on this
+        workload the 5th instance comes from the pair of the 12th
+        verdict, and nothing is verified after it."""
+        from repro.equivalence.checker import EquivalenceChecker
+
+        verdicts = []
+        verdict = EquivalenceChecker.verdict
+
+        def counting_verdict(self, *args, **kwargs):
+            verdicts.append(args)
+            return verdict(self, *args, **kwargs)
+
+        monkeypatch.setattr(EquivalenceChecker, "verdict", counting_verdict)
+        source = load_workload("synthetic:rewrite:n=8", 0)
+        instances = list(
+            iter_task_instances(REWRITE_SPEEDUP, source, 0, max_instances=5)
+        )
+        assert len(instances) == 5
+        assert len(verdicts) == 12
+        assert list(iter_task_instances(REWRITE_SPEEDUP, source, 0, max_instances=0)) == []
+        assert len(verdicts) == 12
+
 
 class TestAskPath:
     def test_equivalence_extraction_matches_internal_decision(
